@@ -11,13 +11,45 @@ use sim_core::EventQueue;
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_push_pop_1k", |b| {
         b.iter(|| {
-            let mut q = EventQueue::with_capacity(1024);
+            let mut q = EventQueue::new();
             for i in 0..1024u64 {
                 q.push((i * 7919) % 4096, i);
             }
             let mut acc = 0u64;
             while let Some((_, v)) = q.pop() {
                 acc = acc.wrapping_add(v);
+            }
+            black_box(acc)
+        })
+    });
+    // Hold model at Hopper density: ~10^5 pending events with 64-byte
+    // payloads. A hold pops the earliest event and schedules it again
+    // 0-4 us later, so the pending set keeps its size. The queue is warmed
+    // to steady state untimed; one iteration is 1024 holds.
+    c.bench_function("event_queue_hold_100k_64b", |b| {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut step = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % 4096
+        };
+        let mut q = EventQueue::new();
+        for i in 0..100_000u64 {
+            q.push(step(), [i; 8]);
+        }
+        let mut hold = |q: &mut EventQueue<[u64; 8]>| {
+            let (t, v) = q.pop().expect("hold queue never empties");
+            q.push(t + step(), v);
+            v[0]
+        };
+        for _ in 0..100_000 {
+            hold(&mut q);
+        }
+        b.iter(|| {
+            let mut acc = 0u64;
+            for _ in 0..1024 {
+                acc = acc.wrapping_add(hold(&mut q));
             }
             black_box(acc)
         })

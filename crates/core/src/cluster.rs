@@ -924,15 +924,14 @@ impl Cluster {
     ///
     /// Falls back to the sequential engine when parallelism cannot help or
     /// is unsupported: `threads <= 1`, fewer than two nodes, quiescence
-    /// detection installed (QD shares one global ledger), the `legacy-heap`
-    /// queue feature, or node-crash chaos (crash enactment and checkpoint/
-    /// recovery mutate PE state across every partition at one instant,
-    /// which the windowed engine cannot interleave — forcing serial keeps
-    /// crash runs bit-identical at any thread count).
+    /// detection installed (QD shares one global ledger), or node-crash
+    /// chaos (crash enactment and checkpoint/recovery mutate PE state
+    /// across every partition at one instant, which the windowed engine
+    /// cannot interleave — forcing serial keeps crash runs bit-identical
+    /// at any thread count).
     pub fn run_parallel(&mut self, threads: u32) -> RunReport {
         if threads <= 1
             || self.qd.is_some()
-            || sim_core::LEGACY_HEAP
             || self.cfg.num_nodes() < 2
             || self.ft.is_some()
             || self.cfg.fault.has_node_crash()

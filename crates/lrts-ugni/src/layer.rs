@@ -385,7 +385,7 @@ impl UgniLayer {
     /// Returns the buffer and the CPU cost.
     fn alloc_buf(&mut self, ctx: &MachineCtx, pe: PeId, bytes: u64) -> (Buf, Time) {
         let node = ctx.node_of(pe);
-        let params = self.cfg.params.clone();
+        let params = &self.cfg.params;
         if self.cfg.use_mempool {
             let gni = self.gni.as_mut().expect("init");
             let reg = gni.fabric_mut().reg_table(node);
@@ -393,7 +393,7 @@ impl UgniLayer {
                 .pools
                 .entry(pe)
                 .or_insert_with(|| MemPool::new(Self::pool_base(pe)));
-            let (block, cost) = pool.alloc(&params, reg, bytes);
+            let (block, cost) = pool.alloc(params, reg, bytes);
             (Buf::Pooled(block), cost)
         } else {
             let gni = self.gni.as_mut().expect("init");
@@ -411,7 +411,7 @@ impl UgniLayer {
                         .pools
                         .entry(pe)
                         .or_insert_with(|| MemPool::new(Self::pool_base(pe)));
-                    let (block, cost) = pool.alloc(&params, reg, bytes);
+                    let (block, cost) = pool.alloc(params, reg, bytes);
                     (Buf::Pooled(block), malloc + cost)
                 }
             }
@@ -422,7 +422,7 @@ impl UgniLayer {
     /// direct path, a pool push for the pooled path).
     fn free_buf(&mut self, ctx: &MachineCtx, pe: PeId, buf: Buf) -> Time {
         let node = ctx.node_of(pe);
-        let params = self.cfg.params.clone();
+        let params = &self.cfg.params;
         match buf {
             Buf::Pooled(block) => {
                 let gni = self.gni.as_mut().expect("init");
@@ -431,7 +431,7 @@ impl UgniLayer {
                 self.pools
                     .entry(pe)
                     .or_insert_with(|| MemPool::new(Self::pool_base(pe)))
-                    .free(&params, reg, block)
+                    .free(params, reg, block)
             }
             Buf::Direct { addr, handle } => {
                 let gni = self.gni.as_mut().expect("init");
@@ -995,7 +995,7 @@ impl UgniLayer {
                 // free-list hit, the direct path a plain malloc.
                 let len = data.len() as u64;
                 let cost = if self.cfg.use_mempool {
-                    let params = self.cfg.params.clone();
+                    let params = &self.cfg.params;
                     let node = ctx.node_of(pe);
                     let gni = self.gni.as_mut().expect("init");
                     let reg = gni.fabric_mut().reg_table(node);
@@ -1003,8 +1003,8 @@ impl UgniLayer {
                         .pools
                         .entry(pe)
                         .or_insert_with(|| MemPool::new(Self::pool_base(pe)));
-                    let (b, c1) = pool.alloc(&params, reg, len);
-                    let c2 = pool.free(&params, reg, b);
+                    let (b, c1) = pool.alloc(params, reg, len);
+                    let c2 = pool.free(params, reg, b);
                     c1 + c2
                 } else {
                     self.cfg.params.malloc_cost(len) + self.cfg.params.malloc_base

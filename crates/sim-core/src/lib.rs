@@ -2,10 +2,11 @@
 //! Charm-like runtime driver.
 //!
 //! The kernel is deliberately tiny and allocation-light: a virtual clock in
-//! nanoseconds ([`Time`]), a stable-ordered event queue ([`EventQueue`]), a
-//! deterministic RNG ([`rng`]) so every experiment is reproducible, and the
-//! statistics helpers ([`stats`]) the benchmark harness uses to report the
-//! paper's tables and figures.
+//! nanoseconds ([`Time`]), a stable-ordered event queue ([`EventQueue`], a
+//! monotone radix heap whose pops are amortised O(1) and whose memory
+//! follows the pending set), a deterministic RNG ([`rng`]) so every
+//! experiment is reproducible, and the statistics helpers ([`stats`]) the
+//! benchmark harness uses to report the paper's tables and figures.
 //!
 //! # Quick example
 //!
@@ -31,8 +32,3 @@ pub use lazy::{LazySlab, LazyVec};
 pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use time::Time;
-
-/// True when the `legacy-heap` feature swapped [`EventQueue`] back to the
-/// single binary heap. The parallel driver forces `threads = 1` in that
-/// configuration (the legacy queue predates queue-ownership splitting).
-pub const LEGACY_HEAP: bool = cfg!(feature = "legacy-heap");

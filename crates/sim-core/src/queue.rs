@@ -5,327 +5,187 @@
 //! what makes every simulation in this workspace deterministic and therefore
 //! testable — identical inputs produce identical virtual-time results.
 //!
-//! Two implementations share that contract:
-//!
-//! * [`TwoLevelQueue`] — the default. A calendar-queue-style structure: a
-//!   small binary heap for the *active* time window, a ring of FIFO
-//!   buckets for the near horizon (push is O(1) there), and a far heap
-//!   for distant timers. Discrete-event simulators (SST/macro, Charm++'s
-//!   own BigSim) use this shape because event populations cluster tightly
-//!   around the current virtual time.
-//! * [`HeapQueue`] — the original single `BinaryHeap`. Kept for
-//!   differential testing and as an escape hatch: building the workspace
-//!   with the sim-core feature `legacy-heap` swaps the [`EventQueue`]
-//!   alias back to it. Virtual-time results are bit-for-bit identical
-//!   either way; only wall-clock differs.
+//! [`EventQueue`] is a monotone radix heap on `time` (Ahuja, Mehlhorn, Orlin
+//! & Tarjan, JACM 1990). A sequential simulation never pops below its last
+//! pop, which is exactly the access pattern a radix heap is built for: an
+//! entry only ever moves to lower buckets, so a pop costs amortised O(1)
+//! moves instead of a `log n` sift through the whole pending set. Pushes
+//! below the last pop stay legal and exact (see [`EventQueue::push`]).
+//! One type serves the cluster's queue and every per-PE uGNI mailbox, MSGQ
+//! and CQ queue.
 
 use crate::time::Time;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// The event queue used by the simulators. Default: [`TwoLevelQueue`];
-/// with the `legacy-heap` feature: [`HeapQueue`].
-#[cfg(not(feature = "legacy-heap"))]
-pub type EventQueue<E> = TwoLevelQueue<E>;
-/// The event queue used by the simulators (legacy-heap build).
-#[cfg(feature = "legacy-heap")]
-pub type EventQueue<E> = HeapQueue<E>;
+use std::collections::VecDeque;
 
 #[derive(Debug)]
 struct Entry<E> {
     time: Time,
-    seq: u64,
     event: E,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-/// A min-heap of timestamped events with FIFO tie-breaking (the original,
-/// single-level engine).
-#[derive(Debug)]
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-    seq: u64,
-    /// High-water mark of queue length, useful for harness diagnostics.
-    peak_len: usize,
-    pushed: u64,
-}
-
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapQueue<E> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            peak_len: 0,
-            pushed: 0,
-        }
-    }
-
-    /// An empty queue with pre-reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            heap: BinaryHeap::with_capacity(cap),
-            seq: 0,
-            peak_len: 0,
-            pushed: 0,
-        }
-    }
-
-    /// Schedule `event` at absolute time `time`.
-    #[inline]
-    pub fn push(&mut self, time: Time, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.pushed += 1;
-        self.heap.push(Reverse(Entry { time, seq, event }));
-        self.peak_len = self.peak_len.max(self.heap.len());
-    }
-
-    /// Remove and return the earliest event, or `None` when empty.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.heap.pop().map(|Reverse(e)| (e.time, e.event))
-    }
-
-    /// Timestamp of the earliest pending event.
-    #[inline]
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Largest number of simultaneously pending events seen so far.
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
-    }
-
-    /// Total events ever pushed.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Drop all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
-/// Near-horizon bucket width: 2^10 ns. Scheduler and protocol charges in
-/// this workspace are a few hundred ns and network latencies a few μs, so
-/// most pushes land within a few buckets of the clock.
-const BUCKET_BITS: u32 = 10;
-const BUCKET_NS: Time = 1 << BUCKET_BITS;
-/// Ring size (and `occ` bitmask width): the near horizon covers
-/// `NUM_BUCKETS * BUCKET_NS` = 64 μs past the active window's start.
-const NUM_BUCKETS: usize = 64;
-const HORIZON_NS: Time = (NUM_BUCKETS as Time) << BUCKET_BITS;
-
-/// Two-level (calendar-queue-style) event queue with exact `(time, seq)`
-/// FIFO ordering.
+/// Monotone radix heap with exact `(time, push order)` FIFO ordering.
 ///
-/// Invariants, with `base` the start of the active window (a multiple of
-/// [`BUCKET_NS`]):
+/// Invariants, with `last` the anchor (the time of the latest refill, or
+/// of the latest push into an empty queue or below `last`):
 ///
-/// * `active` holds every pending event with `time < base + BUCKET_NS`
-///   (including stragglers pushed below `base`, so arbitrary push times
-///   remain correct) — its min is therefore always the global min;
-/// * ring bucket `j ∈ 1..NUM_BUCKETS` holds events in
-///   `[base + j·W, base + (j+1)·W)`, unsorted (sorted lazily when the
-///   bucket becomes active); bit `j` of `occ` says the bucket is
+/// * every pending entry has `time >= last`;
+/// * bucket 0 (`due`) holds exactly the entries with `time == last`;
+/// * bucket `i + 1` (`buckets[i]`) holds the entries whose highest bit
+///   differing from `last` is bit `i`; bit `i` of `occ` says it is
 ///   non-empty;
-/// * `far` holds everything at or beyond `base + HORIZON_NS`, and is
-///   re-bucketed whenever `base` advances.
+/// * entries with equal times are in push order within their bucket.
+///
+/// Equal times always share a bucket, because the bucket is a function of
+/// the time and `last`. Every move (a refill or a re-anchor) carries a
+/// whole equal-time group, in order, into buckets that hold no entry of
+/// that time, and a push appends the newest entry. So FIFO order needs no
+/// sequence numbers and no sort: bucket 0 pops in push order.
+///
+/// An empty queue owns no heap memory; a bucket allocates on first use and
+/// then keeps its allocation, so retained memory follows the pending set.
 #[derive(Debug)]
-pub struct TwoLevelQueue<E> {
-    active: BinaryHeap<Reverse<Entry<E>>>,
-    /// Lazily allocated ring; empty until the first beyond-window push,
-    /// so the many tiny per-endpoint queues in `ugni` stay cheap.
-    ring: Vec<Vec<Entry<E>>>,
-    /// Physical index of logical bucket 0 (the active window's slot; its
-    /// vec is always empty because contents live in `active`).
-    head: usize,
-    /// Bit `j` set ⇔ logical ring bucket `j` is non-empty.
+pub struct EventQueue<E> {
+    due: VecDeque<Entry<E>>,
+    /// Grown on demand up to the highest bucket used, so small queues with
+    /// near-together times never allocate the high buckets.
+    buckets: Vec<Vec<Entry<E>>>,
     occ: u64,
-    /// Start of the active window; multiple of `BUCKET_NS`; monotonic.
-    base: Time,
-    far: BinaryHeap<Reverse<Entry<E>>>,
+    last: Time,
     len: usize,
-    seq: u64,
     peak_len: usize,
     pushed: u64,
 }
 
-impl<E> Default for TwoLevelQueue<E> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> TwoLevelQueue<E> {
-    /// An empty queue.
+impl<E> EventQueue<E> {
+    /// An empty queue. Allocates nothing.
     pub fn new() -> Self {
         Self {
-            active: BinaryHeap::new(),
-            ring: Vec::new(),
-            head: 0,
+            due: VecDeque::new(),
+            buckets: Vec::new(),
             occ: 0,
-            base: 0,
-            far: BinaryHeap::new(),
+            last: 0,
             len: 0,
-            seq: 0,
             peak_len: 0,
             pushed: 0,
         }
     }
 
-    /// An empty queue with pre-reserved capacity (in the active heap).
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut q = Self::new();
-        q.active.reserve(cap);
-        q
-    }
-
+    /// File `entry` (with `entry.time >= last`) under its bucket.
     #[inline]
-    fn phys(&self, logical: usize) -> usize {
-        (self.head + logical) & (NUM_BUCKETS - 1)
-    }
-
     fn place(&mut self, entry: Entry<E>) {
-        let t = entry.time;
-        if t < self.base + BUCKET_NS {
-            self.active.push(Reverse(entry));
-        } else if t - self.base < HORIZON_NS {
-            if self.ring.is_empty() {
-                self.ring.resize_with(NUM_BUCKETS, Vec::new);
-            }
-            let j = ((t - self.base) >> BUCKET_BITS) as usize;
-            debug_assert!((1..NUM_BUCKETS).contains(&j));
-            let slot = self.phys(j);
-            self.ring[slot].push(entry);
-            self.occ |= 1 << j;
-        } else {
-            self.far.push(Reverse(entry));
+        debug_assert!(entry.time >= self.last);
+        let diff = entry.time ^ self.last;
+        if diff == 0 {
+            self.due.push_back(entry);
+            return;
         }
+        let i = (Time::BITS - 1 - diff.leading_zeros()) as usize;
+        if i >= self.buckets.len() {
+            self.buckets.resize_with(i + 1, Vec::new);
+        }
+        self.buckets[i].push(entry);
+        self.occ |= 1 << i;
     }
 
     /// Schedule `event` at absolute time `time`.
+    ///
+    /// A push into an empty queue anchors the queue at `time`. A push below
+    /// the anchor while the queue is non-empty (a straggler) re-anchors the
+    /// whole queue at `time`: every pending entry is later, so the bucket
+    /// invariant holds again after re-placing them, at O(len) cost.
     #[inline]
     pub fn push(&mut self, time: Time, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
+        if self.len == 0 {
+            self.last = time;
+        } else if time < self.last {
+            self.reanchor(time);
+        }
         self.pushed += 1;
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
-        self.place(Entry { time, seq, event });
+        self.place(Entry { time, event });
     }
 
-    /// Advance `base` to the window holding the earliest pending event and
-    /// refill `active`. Caller guarantees `active` is empty and `len > 0`.
-    fn advance(&mut self) {
-        debug_assert!(self.active.is_empty());
-        let next = if self.occ != 0 {
-            let j = self.occ.trailing_zeros() as u64;
-            self.base + j * BUCKET_NS
-        } else {
-            let t = self
-                .far
-                .peek()
-                .map(|Reverse(e)| e.time)
-                // panic-ok: pop() guards with is_empty before advancing
-                .expect("advance called on empty queue");
-            t & !(BUCKET_NS - 1)
-        };
-        let shift = (next - self.base) >> BUCKET_BITS;
-        self.base = next;
-        if shift >= NUM_BUCKETS as u64 {
-            debug_assert_eq!(self.occ, 0);
-            self.occ = 0;
-        } else {
-            self.head = self.phys(shift as usize);
-            self.occ >>= shift;
+    /// Collects the entries container by container, so each equal-time
+    /// group keeps its order, and re-places them under the new anchor.
+    #[cold]
+    fn reanchor(&mut self, time: Time) {
+        let mut all: Vec<Entry<E>> = self.due.drain(..).collect();
+        for b in &mut self.buckets {
+            all.append(b);
         }
-        // Move the now-active bucket's contents into the active heap.
-        if self.occ & 1 != 0 {
-            self.occ &= !1;
-            let slot = self.head;
-            // Rebuild the active heap inside the drained heap's own
-            // allocation: one window's vector is recycled into the next,
-            // so steady-state advancing allocates nothing.
-            let mut items = std::mem::take(&mut self.active).into_vec();
-            items.extend(self.ring[slot].drain(..).map(Reverse));
-            self.active = BinaryHeap::from(items);
+        self.occ = 0;
+        self.last = time;
+        for e in all {
+            self.place(e);
         }
-        // The horizon moved: re-bucket far events that now fall inside it.
-        while self
-            .far
-            .peek()
-            .is_some_and(|Reverse(e)| e.time - self.base < HORIZON_NS)
-        {
-            // panic-ok: the loop condition just peeked this entry
-            let Reverse(entry) = self.far.pop().expect("peeked");
-            self.place(entry);
+    }
+
+    /// Make bucket 0 hold the earliest pending time: anchor at the minimum
+    /// of the lowest non-empty bucket and re-place that bucket, whose
+    /// entries all land strictly lower (the new anchor shares every bit
+    /// above `i` with them) and, bucket `i` being the lowest non-empty one,
+    /// in empty buckets. Returns false when the queue is empty.
+    fn refill(&mut self) -> bool {
+        if !self.due.is_empty() {
+            return true;
         }
+        if self.occ == 0 {
+            return false;
+        }
+        let i = self.occ.trailing_zeros() as usize;
+        self.occ &= !(1 << i);
+        // Re-place through the drained vector and hand it back: the bucket
+        // keeps its allocation for the next time it fills.
+        let mut drained = std::mem::take(&mut self.buckets[i]);
+        self.last = drained.iter().map(|e| e.time).min().unwrap_or(self.last);
+        for e in drained.drain(..) {
+            self.place(e);
+        }
+        self.buckets[i] = drained;
+        true
     }
 
     /// Remove and return the earliest event, or `None` when empty.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        if self.len == 0 {
+        if !self.refill() {
             return None;
         }
-        if self.active.is_empty() {
-            self.advance();
-        }
-        // panic-ok: advance() always refills active when len > 0
-        let Reverse(e) = self.active.pop().expect("advance refills active");
+        let e = self.due.pop_front()?;
         self.len -= 1;
         Some((e.time, e.event))
     }
 
-    /// Timestamp of the earliest pending event.
+    /// Remove and return the earliest event only if it is due, i.e. its
+    /// time is `<= now`. One bucket refill at most, where a
+    /// [`peek_time`](Self::peek_time) then [`pop`](Self::pop) pair would
+    /// scan the lowest bucket and then refill from it.
+    #[inline]
+    pub fn pop_due(&mut self, now: Time) -> Option<(Time, E)> {
+        if !self.refill() || self.last > now {
+            return None;
+        }
+        self.pop()
+    }
+
+    /// Timestamp of the earliest pending event. Scans the lowest non-empty
+    /// bucket when bucket 0 is empty.
     pub fn peek_time(&self) -> Option<Time> {
-        if let Some(Reverse(e)) = self.active.peek() {
-            return Some(e.time);
+        if !self.due.is_empty() {
+            return Some(self.last);
         }
-        if self.occ != 0 {
-            let j = self.occ.trailing_zeros() as usize;
-            let slot = self.phys(j);
-            return self.ring[slot].iter().map(|e| e.time).min();
+        if self.occ == 0 {
+            return None;
         }
-        self.far.peek().map(|Reverse(e)| e.time)
+        let i = self.occ.trailing_zeros() as usize;
+        self.buckets[i].iter().map(|e| e.time).min()
     }
 
     /// Number of pending events.
@@ -352,12 +212,11 @@ impl<E> TwoLevelQueue<E> {
 
     /// Drop all pending events.
     pub fn clear(&mut self) {
-        self.active.clear();
-        for b in &mut self.ring {
+        self.due.clear();
+        for b in &mut self.buckets {
             b.clear();
         }
         self.occ = 0;
-        self.far.clear();
         self.len = 0;
     }
 }
@@ -366,212 +225,209 @@ impl<E> TwoLevelQueue<E> {
 mod tests {
     use super::*;
 
-    // The whole suite runs against both implementations.
-    fn each_impl(f: impl Fn(QueueKind)) {
-        f(QueueKind::Heap);
-        f(QueueKind::TwoLevel);
+    pub(super) fn drain<E>(q: &mut EventQueue<E>) -> Vec<(Time, E)> {
+        std::iter::from_fn(|| q.pop()).collect()
     }
 
-    #[derive(Clone, Copy)]
-    enum QueueKind {
-        Heap,
-        TwoLevel,
-    }
-
-    enum AnyQueue<E> {
-        Heap(HeapQueue<E>),
-        TwoLevel(TwoLevelQueue<E>),
-    }
-
-    impl<E> AnyQueue<E> {
-        fn new(kind: QueueKind) -> Self {
-            match kind {
-                QueueKind::Heap => AnyQueue::Heap(HeapQueue::new()),
-                QueueKind::TwoLevel => AnyQueue::TwoLevel(TwoLevelQueue::new()),
-            }
-        }
-        fn push(&mut self, t: Time, e: E) {
-            match self {
-                AnyQueue::Heap(q) => q.push(t, e),
-                AnyQueue::TwoLevel(q) => q.push(t, e),
-            }
-        }
-        fn pop(&mut self) -> Option<(Time, E)> {
-            match self {
-                AnyQueue::Heap(q) => q.pop(),
-                AnyQueue::TwoLevel(q) => q.pop(),
-            }
-        }
-        fn peek_time(&self) -> Option<Time> {
-            match self {
-                AnyQueue::Heap(q) => q.peek_time(),
-                AnyQueue::TwoLevel(q) => q.peek_time(),
-            }
-        }
-        fn len(&self) -> usize {
-            match self {
-                AnyQueue::Heap(q) => q.len(),
-                AnyQueue::TwoLevel(q) => q.len(),
-            }
-        }
-        fn is_empty(&self) -> bool {
-            match self {
-                AnyQueue::Heap(q) => q.is_empty(),
-                AnyQueue::TwoLevel(q) => q.is_empty(),
-            }
-        }
-        fn peak_len(&self) -> usize {
-            match self {
-                AnyQueue::Heap(q) => q.peak_len(),
-                AnyQueue::TwoLevel(q) => q.peak_len(),
-            }
-        }
-        fn total_pushed(&self) -> u64 {
-            match self {
-                AnyQueue::Heap(q) => q.total_pushed(),
-                AnyQueue::TwoLevel(q) => q.total_pushed(),
-            }
-        }
-        fn clear(&mut self) {
-            match self {
-                AnyQueue::Heap(q) => q.clear(),
-                AnyQueue::TwoLevel(q) => q.clear(),
-            }
-        }
+    #[test]
+    fn new_allocates_nothing() {
+        let q: EventQueue<u64> = EventQueue::new();
+        assert_eq!(q.due.capacity(), 0);
+        assert_eq!(q.buckets.capacity(), 0);
     }
 
     #[test]
     fn pops_in_time_order() {
-        each_impl(|k| {
-            let mut q = AnyQueue::new(k);
-            q.push(30, "c");
-            q.push(10, "a");
-            q.push(20, "b");
-            assert_eq!(q.pop(), Some((10, "a")));
-            assert_eq!(q.pop(), Some((20, "b")));
-            assert_eq!(q.pop(), Some((30, "c")));
-            assert_eq!(q.pop(), None);
-        });
-    }
-
-    #[test]
-    fn ties_break_fifo() {
-        each_impl(|k| {
-            let mut q = AnyQueue::new(k);
-            for i in 0..100 {
-                q.push(42, i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((42, i)));
-            }
-        });
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        each_impl(|k| {
-            let mut q = AnyQueue::new(k);
-            q.push(5, ());
-            assert_eq!(q.peek_time(), Some(5));
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-            q.pop();
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-        });
-    }
-
-    #[test]
-    fn bookkeeping_counters() {
-        each_impl(|k| {
-            let mut q = AnyQueue::new(k);
-            q.push(1, ());
-            q.push(2, ());
-            q.pop();
-            q.push(3, ());
-            assert_eq!(q.total_pushed(), 3);
-            assert_eq!(q.peak_len(), 2);
-            q.clear();
-            assert!(q.is_empty());
-            // peak and pushed survive clear
-            assert_eq!(q.peak_len(), 2);
-            assert_eq!(q.total_pushed(), 3);
-        });
-    }
-
-    #[test]
-    fn interleaved_push_pop_stays_sorted() {
-        each_impl(|k| {
-            let mut q = AnyQueue::new(k);
-            q.push(100, 100u64);
-            q.push(50, 50);
-            assert_eq!(q.pop(), Some((50, 50)));
-            q.push(75, 75);
-            q.push(25, 25);
-            assert_eq!(q.pop(), Some((25, 25)));
-            assert_eq!(q.pop(), Some((75, 75)));
-            assert_eq!(q.pop(), Some((100, 100)));
-        });
-    }
-
-    #[test]
-    fn two_level_spans_all_three_tiers() {
-        // Events in the active window, mid-ring, and far beyond the
-        // horizon, interleaved with same-time FIFO ties at each tier.
-        let mut q = TwoLevelQueue::new();
-        let far = 10 * HORIZON_NS;
-        let mid = 5 * BUCKET_NS + 17;
-        for i in 0..4 {
-            q.push(far, 300 + i);
-            q.push(mid, 200 + i);
-            q.push(3, 100 + i);
-        }
-        let mut got = Vec::new();
-        while let Some((t, v)) = q.pop() {
-            got.push((t, v));
-        }
-        let want: Vec<(Time, i32)> = (0..4)
-            .map(|i| (3, 100 + i))
-            .chain((0..4).map(|i| (mid, 200 + i)))
-            .chain((0..4).map(|i| (far, 300 + i)))
-            .collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn two_level_far_rebuckets_on_advance() {
-        // A far event whose bucket lands inside the ring after a jump:
-        // push one event way out, one just past it, pop both in order.
-        let mut q = TwoLevelQueue::new();
-        q.push(HORIZON_NS * 3 + 5, "a");
-        q.push(HORIZON_NS * 3 + BUCKET_NS * 2 + 1, "b");
-        q.push(HORIZON_NS * 7, "c");
-        assert_eq!(q.pop(), Some((HORIZON_NS * 3 + 5, "a")));
-        // After the advance, pushing below the new base must still pop
-        // first (straggler correctness).
-        q.push(1, "early");
-        assert_eq!(q.pop(), Some((1, "early")));
-        assert_eq!(q.pop(), Some((HORIZON_NS * 3 + BUCKET_NS * 2 + 1, "b")));
-        assert_eq!(q.pop(), Some((HORIZON_NS * 7, "c")));
+        let mut q = EventQueue::new();
+        q.push(30, "c");
+        q.push(10, "a");
+        q.push(20, "b");
+        assert_eq!(q.pop(), Some((10, "a")));
+        assert_eq!(q.pop(), Some((20, "b")));
+        assert_eq!(q.pop(), Some((30, "c")));
         assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn two_level_peek_reaches_every_tier() {
-        let mut q = TwoLevelQueue::new();
-        q.push(HORIZON_NS * 2, ());
-        assert_eq!(q.peek_time(), Some(HORIZON_NS * 2));
-        q.push(BUCKET_NS * 3 + 7, ());
-        assert_eq!(q.peek_time(), Some(BUCKET_NS * 3 + 7));
+    fn ties_break_fifo() {
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.push(42, i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((42, i)));
+        }
+    }
+
+    #[test]
+    fn peek_does_not_consume() {
+        let mut q = EventQueue::new();
+        q.push(5, ());
+        assert_eq!(q.peek_time(), Some(5));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        q.pop();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn bookkeeping_counters() {
+        let mut q = EventQueue::new();
+        q.push(1, ());
+        q.push(2, ());
+        q.pop();
+        q.push(3, ());
+        assert_eq!(q.total_pushed(), 3);
+        assert_eq!(q.peak_len(), 2);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+        // peak and pushed survive clear
+        assert_eq!(q.peak_len(), 2);
+        assert_eq!(q.total_pushed(), 3);
+    }
+
+    #[test]
+    fn interleaved_push_pop_stays_sorted() {
+        let mut q = EventQueue::new();
+        q.push(100, 100u64);
+        q.push(50, 50);
+        assert_eq!(q.pop(), Some((50, 50)));
+        q.push(75, 75);
+        q.push(25, 25);
+        assert_eq!(q.pop(), Some((25, 25)));
+        assert_eq!(q.pop(), Some((75, 75)));
+        assert_eq!(q.pop(), Some((100, 100)));
+    }
+
+    #[test]
+    fn ties_land_in_bucket0_after_replacement() {
+        // Same-time ties interleaved across three far-apart times: each
+        // group reaches bucket 0 through one or more re-placements, out
+        // of push order, and must still pop FIFO.
+        let mut q = EventQueue::new();
+        let (near, mid, far) = (3, (5 << 10) + 17, 640 << 10);
+        q.push(0, 0);
+        for i in 0..4 {
+            q.push(far, 300 + i);
+            q.push(mid, 200 + i);
+            q.push(near, 100 + i);
+        }
+        assert_eq!(q.pop(), Some((0, 0)));
+        let want: Vec<(Time, i32)> = (0..4)
+            .map(|i| (near, 100 + i))
+            .chain((0..4).map(|i| (mid, 200 + i)))
+            .chain((0..4).map(|i| (far, 300 + i)))
+            .collect();
+        assert_eq!(drain(&mut q), want);
+    }
+
+    #[test]
+    fn straggler_below_last_reanchors() {
+        // A pop far out moves the anchor; a push below it while other
+        // entries are pending must still pop first, and the rest keep
+        // their order, ties included.
+        let mut q = EventQueue::new();
+        q.push(200_005, "a");
+        q.push(202_049, "b");
+        q.push(202_049, "b2");
+        q.push(448_000, "c");
+        assert_eq!(q.pop(), Some((200_005, "a")));
+        q.push(1, "early");
+        q.push(202_049, "b3");
+        assert_eq!(
+            drain(&mut q),
+            vec![
+                (1, "early"),
+                (202_049, "b"),
+                (202_049, "b2"),
+                (202_049, "b3"),
+                (448_000, "c")
+            ]
+        );
+    }
+
+    #[test]
+    fn push_into_emptied_queue_after_far_pop() {
+        let mut q = EventQueue::new();
+        q.push(1 << 40, "far");
+        assert_eq!(q.pop(), Some((1 << 40, "far")));
+        q.push(7, "a");
+        q.push(7, "b");
+        q.push(6, "c");
+        assert_eq!(drain(&mut q), vec![(6, "c"), (7, "a"), (7, "b")]);
+    }
+
+    #[test]
+    fn times_with_bit_63_set() {
+        let hi = 1u64 << 63;
+        let mut q = EventQueue::new();
+        q.push(Time::MAX, 3);
+        q.push(hi + 1, 2);
+        q.push(hi, 1);
+        q.push(5, 0);
+        q.push(hi + 1, 22);
+        assert_eq!(q.peek_time(), Some(5));
+        assert_eq!(
+            drain(&mut q),
+            vec![(5, 0), (hi, 1), (hi + 1, 2), (hi + 1, 22), (Time::MAX, 3)]
+        );
+    }
+
+    #[test]
+    fn peek_reaches_every_bucket() {
+        let mut q = EventQueue::new();
+        q.push(0, ());
+        q.pop();
+        q.push(128 << 10, ());
+        assert_eq!(q.peek_time(), Some(128 << 10));
+        q.push((3 << 10) + 7, ());
+        assert_eq!(q.peek_time(), Some((3 << 10) + 7));
         q.push(12, ());
         assert_eq!(q.peek_time(), Some(12));
+    }
+
+    #[test]
+    fn pop_due_respects_now() {
+        let mut q = EventQueue::new();
+        q.push(10, "a");
+        q.push(20, "b");
+        assert_eq!(q.pop_due(9), None);
+        assert_eq!(q.pop_due(10), Some((10, "a")));
+        assert_eq!(q.pop_due(19), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_due(Time::MAX), Some((20, "b")));
+        assert_eq!(q.pop_due(Time::MAX), None);
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::drain;
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Reference model: a map keyed by `(time, push order)`.
+    #[derive(Default)]
+    struct Model<E> {
+        map: BTreeMap<(Time, u64), E>,
+        seq: u64,
+    }
+
+    impl<E> Model<E> {
+        fn push(&mut self, t: Time, e: E) {
+            self.map.insert((t, self.seq), e);
+            self.seq += 1;
+        }
+        fn pop(&mut self) -> Option<(Time, E)> {
+            self.map.pop_first().map(|((t, _), e)| (t, e))
+        }
+        fn peek_time(&self) -> Option<Time> {
+            self.map.keys().next().map(|k| k.0)
+        }
+    }
 
     proptest! {
         /// Whatever we push, pops come out sorted by time, and same-time
@@ -582,10 +438,7 @@ mod proptests {
             for (i, &t) in times.iter().enumerate() {
                 q.push(t, i);
             }
-            let mut out = Vec::new();
-            while let Some(x) = q.pop() {
-                out.push(x);
-            }
+            let out = drain(&mut q);
             prop_assert_eq!(out.len(), times.len());
             for w in out.windows(2) {
                 let (t0, i0) = w[0];
@@ -615,48 +468,43 @@ mod proptests {
             }
         }
 
-        /// Differential: the two-level queue pops *exactly* what the legacy
-        /// heap pops, for arbitrary interleaved push/pop traces spanning
-        /// the active window, the ring, and the far horizon (time deltas
-        /// up to several horizons).
+        /// The queue matches the reference model step for step on
+        /// interleaved traces: pushes relative to the clock (the
+        /// simulator's pattern, near ones dense with ties), absolute-time
+        /// stragglers, times with bit 63 set, pops and due-pops.
         #[test]
-        fn two_level_matches_heap(
-            ops in proptest::collection::vec(
-                proptest::option::of((0u64..(HORIZON_NS * 3), any::<bool>())), 0..400)
+        fn matches_reference_model(
+            ops in proptest::collection::vec((0u64..200_000, 0u8..6), 0..400)
         ) {
-            let mut a = HeapQueue::new();
-            let mut b = TwoLevelQueue::new();
+            let mut q = EventQueue::new();
+            let mut m = Model::default();
             let mut clock = 0u64;
-            let mut id = 0u32;
-            for op in ops {
-                match op {
-                    Some((dt, absolute)) => {
-                        // Mix monotone-from-clock pushes (the simulator's
-                        // pattern) with absolute ones (stragglers).
-                        let t = if absolute { dt } else { clock + dt };
-                        a.push(t, id);
-                        b.push(t, id);
-                        id += 1;
+            for (id, (dt, kind)) in ops.into_iter().enumerate() {
+                let popped = match kind {
+                    0 => { q.push(clock + dt, id); m.push(clock + dt, id); None }
+                    1 => { q.push(clock + dt % 16, id); m.push(clock + dt % 16, id); None }
+                    2 => { q.push(dt, id); m.push(dt, id); None }
+                    3 => { q.push((1 << 63) | dt, id); m.push((1 << 63) | dt, id); None }
+                    4 => {
+                        let x = q.pop();
+                        prop_assert_eq!(x, m.pop(), "pop diverged");
+                        x
                     }
-                    None => {
-                        let x = a.pop();
-                        let y = b.pop();
-                        prop_assert_eq!(x, y, "pop diverged");
-                        if let Some((t, _)) = x {
-                            clock = clock.max(t);
-                        }
+                    _ => {
+                        let now = clock + dt / 4;
+                        let x = q.pop_due(now);
+                        let due = m.peek_time().is_some_and(|t| t <= now);
+                        prop_assert_eq!(x, if due { m.pop() } else { None }, "pop_due diverged");
+                        x
                     }
+                };
+                if let Some((t, _)) = popped.filter(|(t, _)| t >> 63 == 0) {
+                    clock = clock.max(t);
                 }
-                prop_assert_eq!(a.len(), b.len());
-                prop_assert_eq!(a.peek_time(), b.peek_time());
+                prop_assert_eq!(q.len(), m.map.len());
+                prop_assert_eq!(q.peek_time(), m.peek_time());
             }
-            // Drain both fully.
-            loop {
-                let x = a.pop();
-                let y = b.pop();
-                prop_assert_eq!(x, y, "drain diverged");
-                if x.is_none() { break; }
-            }
+            prop_assert_eq!(drain(&mut q), std::iter::from_fn(|| m.pop()).collect::<Vec<_>>());
         }
     }
 }

@@ -278,21 +278,14 @@ impl Gni {
         let Some(q) = self.rx.get_mut(&(node, inst)) else {
             return Err(GniError::NotDone);
         };
-        match q.peek_time() {
-            Some(t) if t <= now => {
-                let (_, (tag, from, data)) = q
-                    .pop()
-                    .ok_or(GniError::Internal("smsg mailbox peek/pop desync"))?;
-                let cpu = self.fabric.smsg_recv_cost(data.len() as u64);
-                Ok(SmsgRecv {
-                    tag,
-                    from,
-                    data,
-                    cpu,
-                })
-            }
-            _ => Err(GniError::NotDone),
-        }
+        let (_, (tag, from, data)) = q.pop_due(now).ok_or(GniError::NotDone)?;
+        let cpu = self.fabric.smsg_recv_cost(data.len() as u64);
+        Ok(SmsgRecv {
+            tag,
+            from,
+            data,
+            cpu,
+        })
     }
 
     /// Earliest time a pending SMSG becomes pollable at `(node, inst)`.
@@ -363,23 +356,17 @@ impl Gni {
         let Some(q) = self.msgq_rx.get_mut(&node) else {
             return Err(GniError::NotDone);
         };
-        match q.peek_time() {
-            Some(t) if t <= now => {
-                let (_, (tag, from, dst_inst, data)) =
-                    q.pop().ok_or(GniError::Internal("msgq peek/pop desync"))?;
-                let cpu = self.fabric.msgq_recv_cost(data.len() as u64);
-                Ok((
-                    SmsgRecv {
-                        tag,
-                        from,
-                        data,
-                        cpu,
-                    },
-                    dst_inst,
-                ))
-            }
-            _ => Err(GniError::NotDone),
-        }
+        let (_, (tag, from, dst_inst, data)) = q.pop_due(now).ok_or(GniError::NotDone)?;
+        let cpu = self.fabric.msgq_recv_cost(data.len() as u64);
+        Ok((
+            SmsgRecv {
+                tag,
+                from,
+                data,
+                cpu,
+            },
+            dst_inst,
+        ))
     }
 
     /// `GNI_PostFma`: execute a transaction through the FMA window.
@@ -533,14 +520,10 @@ impl Gni {
         if c.overrun {
             return Err(GniError::CqOverrun);
         }
-        match c.events.peek_time() {
-            Some(t) if t <= now => c
-                .events
-                .pop()
-                .map(|(_, ev)| ev)
-                .ok_or(GniError::Internal("cq peek/pop desync")),
-            _ => Err(GniError::NotDone),
-        }
+        c.events
+            .pop_due(now)
+            .map(|(_, ev)| ev)
+            .ok_or(GniError::NotDone)
     }
 
     /// Recover an overrun CQ: audit outstanding transactions and reinsert

@@ -53,10 +53,6 @@ pub enum GniError {
     /// A node id outside the job (`GNI_RC_INVALID_PARAM`): the caller
     /// addressed a node the fabric was never brought up on.
     InvalidNode,
-    /// An internal invariant of the simulated NIC broke (peek/pop desync
-    /// and the like). Never expected; surfaced as a typed error so the
-    /// contract verifier can report it instead of an opaque panic.
-    Internal(&'static str),
 }
 
 pub type GniResult<T> = Result<T, GniError>;

@@ -11,7 +11,8 @@ use charm_apps::jacobi2d::{run_jacobi, JacobiConfig};
 use charm_apps::pingpong::{charm_bandwidth, charm_one_way};
 use charm_apps::LayerKind;
 use proptest::prelude::*;
-use sim_core::queue::{HeapQueue, TwoLevelQueue};
+use sim_core::EventQueue;
+use std::collections::BTreeMap;
 
 fn layers() -> Vec<LayerKind> {
     vec![LayerKind::ugni(), LayerKind::mpi()]
@@ -56,15 +57,37 @@ fn bandwidth_window_replays_bit_for_bit() {
     }
 }
 
-/// The two-level queue must pop the exact sequence the legacy heap pops —
+/// Reference model of the event queue: a map keyed by `(time, push
+/// order)`, which is the `(time, seq)` FIFO contract by construction.
+#[derive(Default)]
+struct Model {
+    map: BTreeMap<(u64, u64), u32>,
+    seq: u64,
+}
+
+impl Model {
+    fn push(&mut self, t: u64, id: u32) {
+        self.map.insert((t, self.seq), id);
+        self.seq += 1;
+    }
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        self.map.pop_first().map(|((t, _), id)| (t, id))
+    }
+    fn peek_time(&self) -> Option<u64> {
+        self.map.keys().next().map(|k| k.0)
+    }
+}
+
+/// The event queue must pop the exact sequence the reference model pops —
 /// this is the engine-level guarantee behind every pinned virtual time in
 /// this file. A deterministic trace shaped like real simulator traffic:
 /// bursts of same-time events (scheduler cascades), short hops (protocol
-/// charges), and long timer jumps (retry horizons).
+/// charges), long timer jumps (retry horizons) and absolute-time
+/// stragglers below the clock (late CQ and mailbox inserts).
 #[test]
-fn two_level_queue_matches_legacy_heap_on_simulator_shaped_trace() {
-    let mut heap = HeapQueue::new();
-    let mut two = TwoLevelQueue::new();
+fn event_queue_matches_reference_model_on_simulator_shaped_trace() {
+    let mut model = Model::default();
+    let mut q = EventQueue::new();
     let mut clock: u64 = 0;
     let mut id: u32 = 0;
     let mut state: u64 = 0x2545_F491_4F6C_DD1D;
@@ -75,49 +98,42 @@ fn two_level_queue_matches_legacy_heap_on_simulator_shaped_trace() {
         state ^= state >> 27;
         state.wrapping_mul(0x2545_F491_4F6C_DD1D)
     };
+    let mut push = |t: u64, model: &mut Model, q: &mut EventQueue<u32>| {
+        model.push(t, id);
+        q.push(t, id);
+        id += 1;
+    };
     for round in 0..2000 {
         let r = next();
-        match r % 10 {
+        match r % 11 {
             // Same-time cascade: several events at one instant must pop
             // in push order.
             0 => {
-                for _ in 0..(r / 10 % 5 + 2) {
-                    heap.push(clock, id);
-                    two.push(clock, id);
-                    id += 1;
+                for _ in 0..(r / 11 % 5 + 2) {
+                    push(clock, &mut model, &mut q);
                 }
             }
             // Short protocol hop.
-            1..=5 => {
-                let t = clock + r % 2048;
-                heap.push(t, id);
-                two.push(t, id);
-                id += 1;
-            }
+            1..=5 => push(clock + r % 2048, &mut model, &mut q),
             // Long timer: far beyond the near horizon.
-            6 => {
-                let t = clock + 100_000 + r % 1_000_000;
-                heap.push(t, id);
-                two.push(t, id);
-                id += 1;
-            }
+            6 => push(clock + 100_000 + r % 1_000_000, &mut model, &mut q),
+            // Straggler: an absolute time at or below the clock.
+            7 => push(r % (clock + 1), &mut model, &mut q),
             // Pop and advance the clock.
             _ => {
-                let a = heap.pop();
-                let b = two.pop();
-                assert_eq!(a, b, "pop diverged at round {round}");
+                let a = model.pop();
+                assert_eq!(q.pop(), a, "pop diverged at round {round}");
                 if let Some((t, _)) = a {
                     clock = clock.max(t);
                 }
             }
         }
-        assert_eq!(heap.len(), two.len());
-        assert_eq!(heap.peek_time(), two.peek_time());
+        assert_eq!(q.len(), model.map.len());
+        assert_eq!(q.peek_time(), model.peek_time());
     }
     loop {
-        let a = heap.pop();
-        let b = two.pop();
-        assert_eq!(a, b, "drain diverged");
+        let a = model.pop();
+        assert_eq!(q.pop(), a, "drain diverged");
         if a.is_none() {
             break;
         }
@@ -125,37 +141,37 @@ fn two_level_queue_matches_legacy_heap_on_simulator_shaped_trace() {
 }
 
 proptest! {
-    /// Random (time, seq) interleavings: the two-level queue pops a
+    /// Random (time, seq) interleavings: the event queue pops a
     /// FIFO-stable sort regardless of push pattern, and agrees with the
-    /// legacy heap at every step.
+    /// reference model at every step.
     #[test]
-    fn two_level_queue_pops_fifo_stable(
+    fn event_queue_pops_fifo_stable(
         ops in proptest::collection::vec(
             proptest::option::of(0u64..500_000), 0..300)
     ) {
-        let mut heap = HeapQueue::new();
-        let mut two = TwoLevelQueue::new();
+        let mut model = Model::default();
+        let mut q = EventQueue::new();
         let mut id = 0u32;
         for op in ops {
             match op {
                 Some(t) => {
-                    heap.push(t, id);
-                    two.push(t, id);
+                    model.push(t, id);
+                    q.push(t, id);
                     id += 1;
                 }
                 None => {
-                    prop_assert_eq!(heap.pop(), two.pop());
+                    prop_assert_eq!(q.pop(), model.pop());
                 }
             }
         }
         // Final drain (no more pushes): what comes out must be a
         // FIFO-stable sort — times never decrease, ties in push order.
         let mut drained: Vec<(u64, u32)> = Vec::new();
-        while let Some(b) = two.pop() {
-            prop_assert_eq!(heap.pop(), Some(b));
+        while let Some(b) = q.pop() {
+            prop_assert_eq!(model.pop(), Some(b));
             drained.push(b);
         }
-        prop_assert_eq!(heap.pop(), None);
+        prop_assert_eq!(model.pop(), None);
         for w in drained.windows(2) {
             prop_assert!(w[0].0 <= w[1].0);
             if w[0].0 == w[1].0 {
