@@ -3,21 +3,12 @@
 //! Runs the wall-clock suite (see `charm_bench::wallclock`), prints the
 //! events/sec table, writes `BENCH_wallclock.json` at the repo root, and
 //! exits nonzero if any workload's *virtual* end time drifted from its
-//! pinned value — engine fast-path work must never move virtual time, at
-//! any thread count.
+//! pinned value — engine fast-path work must never move virtual time.
 //!
 //! Flags:
 //! * `--quick` — CI shape;
-//! * `--threads N[,M,...]` — run the suite once per listed worker-thread
-//!   count (1 = sequential engine; default `1`), appending one history
-//!   row per count;
 //! * `--rev REV` — git revision recorded in the appended history rows
 //!   (default: `unknown`);
-//! * `--gate-overhead X` — require the threads=2 sweep's total wall time
-//!   to stay within `X`× of the threads=1 sweep (both must be listed in
-//!   `--threads`); exits nonzero past the factor. This is the CI guard
-//!   that parallel-engine sync overhead stays bounded even on hosts with
-//!   fewer cores than workers;
 //! * `--no-write` — skip the JSON;
 //! * `--print-pins` — emit the PINS table rows measured by this build.
 
@@ -36,15 +27,6 @@ fn main() -> ExitCode {
             .cloned()
     };
     let rev = flag_value("--rev").unwrap_or_else(|| "unknown".into());
-    let gate_overhead: Option<f64> = flag_value("--gate-overhead")
-        .map(|s| s.parse().expect("--gate-overhead takes a factor, e.g. 2.0"));
-    let threads: Vec<u32> = flag_value("--threads")
-        .map(|s| {
-            s.split(',')
-                .map(|t| t.trim().parse().expect("--threads takes e.g. 1,2,4,8"))
-                .collect()
-        })
-        .unwrap_or_else(|| vec![1]);
     let e = if quick {
         charm_bench::Effort::quick()
     } else {
@@ -60,35 +42,26 @@ fn main() -> ExitCode {
         .map(|old| charm_bench::wallclock::extract_history(&old))
         .unwrap_or_default();
 
-    let mut last: Option<charm_bench::WallSuite> = None;
-    let mut walls: Vec<(u32, u64)> = Vec::new();
+    let suite = charm_bench::wallclock::wallclock_suite(&e);
+    print!("{}", suite.render());
     let mut drift = false;
-    for &t in &threads {
-        let suite = charm_bench::wallclock::wallclock_suite_threads(&e, t);
-        println!("-- threads = {t} --");
-        print!("{}", suite.render());
-        for r in suite.drifted() {
-            eprintln!(
-                "VIRTUAL-TIME DRIFT (threads={t}): {}/{} ended at {} ns, pinned {} ns",
-                r.name,
-                r.layer,
-                r.virtual_end_ns,
-                r.pinned_end_ns.unwrap()
-            );
-            drift = true;
-        }
-        walls.push((t, suite.total_wall_ns()));
-        history.push(suite.history_record(&rev));
-        if let Some(row) = suite.aggregation_history_record(&rev) {
-            history.push(row);
-        }
-        last = Some(suite);
+    for r in suite.drifted() {
+        eprintln!(
+            "VIRTUAL-TIME DRIFT: {}/{} ended at {} ns, pinned {} ns",
+            r.name,
+            r.layer,
+            r.virtual_end_ns,
+            r.pinned_end_ns.unwrap()
+        );
+        drift = true;
     }
-    let suite = last.expect("at least one thread count");
+    history.push(suite.history_record(&rev));
+    if let Some(row) = suite.aggregation_history_record(&rev) {
+        history.push(row);
+    }
 
     // Aggregation figure gate (ISSUE 10): >= 1.5x host events/s on the
-    // fine-grained AM traffic plus a virtual-time win, checked on the
-    // last sweep's rows.
+    // fine-grained AM traffic plus a virtual-time win.
     let agg_fail = suite.aggregation_gate();
     if let Some((off, on)) = suite.aggregation_legs() {
         println!(
@@ -103,30 +76,6 @@ fn main() -> ExitCode {
     }
     if let Some(msg) = &agg_fail {
         eprintln!("wallclock: {msg}");
-    }
-
-    let mut over_gate = false;
-    if let Some(factor) = gate_overhead {
-        let wall_at = |n: u32| walls.iter().find(|(t, _)| *t == n).map(|(_, w)| *w);
-        match (wall_at(1), wall_at(2)) {
-            (Some(w1), Some(w2)) => {
-                let ratio = w2 as f64 / w1.max(1) as f64;
-                println!(
-                    "overhead gate: threads=2 wall is {ratio:.2}x threads=1 (limit {factor:.2}x)"
-                );
-                if ratio > factor {
-                    eprintln!(
-                        "wallclock: parallel sync overhead past the gate \
-                         ({ratio:.2}x > {factor:.2}x)"
-                    );
-                    over_gate = true;
-                }
-            }
-            _ => {
-                eprintln!("wallclock: --gate-overhead needs both 1 and 2 in --threads");
-                over_gate = true;
-            }
-        }
     }
 
     if print_pins {
@@ -149,7 +98,7 @@ fn main() -> ExitCode {
         eprintln!("wallclock: engine changed virtual time; this is a correctness bug");
         return ExitCode::FAILURE;
     }
-    if over_gate || agg_fail.is_some() {
+    if agg_fail.is_some() {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

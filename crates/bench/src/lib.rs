@@ -14,7 +14,7 @@ pub mod wallclock;
 
 pub use figures::*;
 pub use tables::*;
-pub use wallclock::{wallclock_suite, wallclock_suite_threads, WallRun, WallSuite};
+pub use wallclock::{wallclock_suite, WallRun, WallSuite};
 
 /// Default iteration counts, tuned so every figure regenerates in seconds
 /// in release mode while still averaging over steady-state behaviour.

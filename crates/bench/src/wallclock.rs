@@ -44,9 +44,6 @@ pub struct WallRun {
     pub pinned_end_ns: Option<u64>,
     /// Best-of-repetitions host time, ns.
     pub wall_ns: u64,
-    /// Host ns the parallel engine spent blocked at barriers (spinning or
-    /// parked) during the best repetition; 0 for the sequential engine.
-    pub sync_overhead_ns: u64,
 }
 
 impl WallRun {
@@ -63,8 +60,6 @@ impl WallRun {
 #[derive(Debug, Clone)]
 pub struct WallSuite {
     pub quick: bool,
-    /// Worker threads the simulator ran with (1 = sequential engine).
-    pub threads: u32,
     pub runs: Vec<WallRun>,
 }
 
@@ -75,11 +70,6 @@ impl WallSuite {
 
     pub fn total_wall_ns(&self) -> u64 {
         self.runs.iter().map(|r| r.wall_ns).sum()
-    }
-
-    /// Aggregate barrier-wait time across the suite (best reps).
-    pub fn total_sync_overhead_ns(&self) -> u64 {
-        self.runs.iter().map(|r| r.sync_overhead_ns).sum()
     }
 
     pub fn events_per_sec(&self) -> f64 {
@@ -138,13 +128,6 @@ impl WallSuite {
             self.speedup_vs_baseline(),
             self.baseline_events_per_sec(),
         ));
-        if self.threads > 1 {
-            out.push_str(&format!(
-                "sync overhead: {:.3}s blocked at barriers ({:.1}% of wall)\n",
-                self.total_sync_overhead_ns() as f64 / 1e9,
-                100.0 * self.total_sync_overhead_ns() as f64 / self.total_wall_ns().max(1) as f64,
-            ));
-        }
         out
     }
 
@@ -189,12 +172,11 @@ impl WallSuite {
     pub fn aggregation_history_record(&self, rev: &str) -> Option<String> {
         let (off, on) = self.aggregation_legs()?;
         Some(format!(
-            "{{\"suite\": \"aggregation\", \"quick\": {}, \"threads\": {}, \
+            "{{\"suite\": \"aggregation\", \"quick\": {}, \
              \"rev\": \"{}\", \"off_wall_ns\": {}, \"on_wall_ns\": {}, \
              \"host_speedup\": {:.2}, \"off_virtual_ns\": {}, \
              \"on_virtual_ns\": {}}}",
             self.quick,
-            self.threads,
             rev,
             off.wall_ns,
             on.wall_ns,
@@ -205,21 +187,18 @@ impl WallSuite {
     }
 
     /// One appendable history record: the keyed row
-    /// `(suite, quick, threads, rev)` → throughput, kept across runs so
-    /// `BENCH_wallclock.json` records the perf trajectory PR over PR and
-    /// thread-count over thread-count.
+    /// `(suite, quick, rev)` → throughput, kept across runs so
+    /// `BENCH_wallclock.json` records the perf trajectory PR over PR.
     pub fn history_record(&self, rev: &str) -> String {
         format!(
-            "{{\"suite\": \"wallclock\", \"quick\": {}, \"threads\": {}, \
+            "{{\"suite\": \"wallclock\", \"quick\": {}, \
              \"rev\": \"{}\", \"total_events\": {}, \"total_wall_ns\": {}, \
-             \"events_per_sec\": {:.1}, \"sync_overhead_ns\": {}}}",
+             \"events_per_sec\": {:.1}}}",
             self.quick,
-            self.threads,
             rev,
             self.total_events(),
             self.total_wall_ns(),
             self.events_per_sec(),
-            self.total_sync_overhead_ns(),
         )
     }
 
@@ -246,7 +225,6 @@ impl WallSuite {
         out.push_str("{\n");
         out.push_str("  \"suite\": \"wallclock\",\n");
         out.push_str(&format!("  \"quick\": {},\n", self.quick));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
         out.push_str(&format!("  \"total_events\": {},\n", self.total_events()));
         out.push_str(&format!("  \"total_wall_ns\": {},\n", self.total_wall_ns()));
         out.push_str(&format!(
@@ -261,17 +239,12 @@ impl WallSuite {
             "  \"speedup_vs_baseline\": {:.3},\n",
             self.speedup_vs_baseline()
         ));
-        out.push_str(&format!(
-            "  \"sync_overhead_ns\": {},\n",
-            self.total_sync_overhead_ns()
-        ));
         out.push_str("  \"workloads\": [\n");
         for (i, r) in self.runs.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"layer\": \"{}\", \"events\": {}, \
                  \"virtual_end_ns\": {}, \"pinned_end_ns\": {}, \"wall_ns\": {}, \
-                 \"events_per_sec\": {:.1}, \"ns_per_event\": {:.2}, \
-                 \"sync_overhead_ns\": {}}}{}\n",
+                 \"events_per_sec\": {:.1}, \"ns_per_event\": {:.2}}}{}\n",
                 r.name,
                 r.layer,
                 r.events,
@@ -282,7 +255,6 @@ impl WallSuite {
                 r.wall_ns,
                 r.events_per_sec(),
                 r.ns_per_event(),
-                r.sync_overhead_ns,
                 if i + 1 == self.runs.len() { "" } else { "," },
             ));
         }
@@ -352,21 +324,13 @@ fn measure(
     mut body: impl FnMut() -> (u64, u64),
 ) -> WallRun {
     let mut best_wall = u64::MAX;
-    let mut best_sync = 0;
     let mut events = 0;
     let mut virtual_end = 0;
     for rep in 0..REPS {
-        // Drain any overhead accumulated outside this workload so the
-        // meter reads exactly this repetition's barrier waits.
-        let _ = charm_rt::prelude::take_sync_overhead_ns();
         let t0 = Instant::now();
         let (ev, vend) = body();
         let wall = t0.elapsed().as_nanos() as u64;
-        let sync = charm_rt::prelude::take_sync_overhead_ns();
-        if wall < best_wall {
-            best_wall = wall;
-            best_sync = sync;
-        }
+        best_wall = best_wall.min(wall);
         if rep == 0 {
             events = ev;
             virtual_end = vend;
@@ -385,7 +349,6 @@ fn measure(
         virtual_end_ns: virtual_end,
         pinned_end_ns: pin_for(name, layer_tag, quick),
         wall_ns: best_wall,
-        sync_overhead_ns: best_sync,
     }
 }
 
@@ -412,28 +375,8 @@ pub fn extract_history(json: &str) -> Vec<String> {
         .collect()
 }
 
-/// Run the whole suite sequentially. `Effort::quick()` selects the
-/// reduced CI shape.
+/// Run the whole suite. `Effort::quick()` selects the reduced CI shape.
 pub fn wallclock_suite(e: &Effort) -> WallSuite {
-    wallclock_suite_threads(e, 1)
-}
-
-/// Run the whole suite with the simulator in `threads`-way conservative
-/// parallel mode (1 = the sequential engine). Virtual fingerprints are
-/// pinned identically for every thread count — the parallel engine is
-/// bit-exact, so a drift at `threads > 1` is a determinism bug, not a
-/// perf artifact.
-pub fn wallclock_suite_threads(e: &Effort, threads: u32) -> WallSuite {
-    // Forced: the point of the sweep is to measure the parallel engine's
-    // overhead even when the host has fewer cores than `threads` — the
-    // auto-cap would silently fall back to the sequential engine.
-    charm_rt::prelude::set_default_threads_forced(threads);
-    let suite = wallclock_suite_inner(e, threads);
-    charm_rt::prelude::set_default_threads_forced(1);
-    suite
-}
-
-fn wallclock_suite_inner(e: &Effort, threads: u32) -> WallSuite {
     let quick = !e.full_scale;
     let mut runs = Vec::new();
 
@@ -548,9 +491,5 @@ fn wallclock_suite_inner(e: &Effort, threads: u32) -> WallSuite {
         }));
     }
 
-    WallSuite {
-        quick,
-        threads,
-        runs,
-    }
+    WallSuite { quick, runs }
 }

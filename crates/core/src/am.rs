@@ -17,7 +17,7 @@
 //!   [`AmConfig::max_batch_bytes`] (the SMSG frame limit),
 //! * its per-destination flush timer expires — a normal scheduled event
 //!   at a fixed virtual delay, so flushing is deterministic and
-//!   bit-replayable at any thread count,
+//!   bit-replayable run over run,
 //! * or quiescence detection polls the PE (`qd.rs` drains every buffer
 //!   before reading the ledger, so buffered AMs can never wedge QD).
 //!
@@ -197,7 +197,7 @@ type AmFn = Arc<dyn Fn(&mut PeCtx, PeId, Bytes) + Send + Sync>;
 
 /// Global (per-cluster) AM state: the dispatch table, the lazily
 /// registered batch/timer Converse handler, and the aggregation policy.
-/// Shared immutably by workers during parallel windows.
+/// Read-only once the run starts.
 #[derive(Default)]
 pub(crate) struct AmRegistry {
     pub(crate) handlers: Vec<AmFn>,
@@ -437,8 +437,8 @@ impl PeCtx<'_> {
 }
 
 /// The Converse handler behind every batch envelope and flush-timer tick.
-/// Worker-pure: everything it touches is per-PE state reached through
-/// `PeCtx`, and its sends go through the buffered outbox.
+/// Everything it touches is per-PE state reached through `PeCtx`, and its
+/// sends go through the handler outbox like any other handler's.
 pub(crate) fn am_dispatch(ctx: &mut PeCtx, env: Envelope) {
     let p: &[u8] = &env.payload;
     match p[0] {

@@ -17,110 +17,13 @@ use crate::lrts::{MachineLayer, PersistentHandle};
 use crate::msg::{Envelope, HandlerId, PeId};
 use crate::pe_table::PeTable;
 use crate::qd::{QdPe, QdState};
-use crate::trace::{Kind, Trace, TraceOp};
+use crate::trace::{Kind, Trace};
 use bytes::Bytes;
 use gemini_net::NodeId;
-use sim_core::parallel::{partition_ranges, run_pool, EvKey, KeyedQueue};
 use sim_core::{DetRng, EventQueue, Time};
 use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-thread_local! {
-    /// Default for [`ClusterCfg::threads`] (see [`set_default_threads`]).
-    static DEFAULT_THREADS: std::cell::Cell<u32> = const { std::cell::Cell::new(1) };
-    /// Default for [`ClusterCfg::batch_windows`] (see
-    /// [`set_default_batch_windows`]).
-    static DEFAULT_BATCH_WINDOWS: std::cell::Cell<u32> = const { std::cell::Cell::new(4) };
-    /// Default for [`ClusterCfg::handoff_min_events`] (see
-    /// [`set_default_handoff_min_events`]).
-    static DEFAULT_HANDOFF_MIN: std::cell::Cell<u32> = const { std::cell::Cell::new(16) };
-    /// Barrier-wait nanoseconds accumulated by parallel runs on this
-    /// thread since the last [`take_sync_overhead_ns`].
-    static SYNC_OVERHEAD: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Set the worker count newly built [`ClusterCfg`]s default to (clamped to
-/// at least 1). Thread-local, so harnesses running independent simulations
-/// on a thread pool don't race: each harness thread configures its own
-/// default and every app built on it inherits `--threads` with zero churn.
-///
-/// Requests beyond `std::thread::available_parallelism()` are capped to it
-/// (with a one-line stderr warning, printed once per process): on a small
-/// box, oversubscribed workers fight the scheduler at every window barrier
-/// and parallel runs regress instead of winning. Set the
-/// `CHARM_FORCE_THREADS` environment variable (any value) — or call
-/// [`set_default_threads_forced`] — to bypass the cap, e.g. for
-/// determinism suites that must exercise the parallel engine regardless
-/// of host size.
-pub fn set_default_threads(n: u32) {
-    let n = n.max(1);
-    if std::env::var_os("CHARM_FORCE_THREADS").is_some() {
-        DEFAULT_THREADS.with(|c| c.set(n));
-        return;
-    }
-    let hw = std::thread::available_parallelism()
-        .map(|p| p.get() as u32)
-        .unwrap_or(1);
-    if n > hw {
-        static WARNED: std::sync::Once = std::sync::Once::new();
-        WARNED.call_once(|| {
-            eprintln!(
-                "charm-rt: capping threads {n} -> {hw} (available_parallelism); \
-                 set CHARM_FORCE_THREADS=1 to override"
-            );
-        });
-        DEFAULT_THREADS.with(|c| c.set(hw));
-    } else {
-        DEFAULT_THREADS.with(|c| c.set(n));
-    }
-}
-
-/// [`set_default_threads`] without the `available_parallelism()` cap.
-/// For harnesses that must drive the parallel engine at an exact worker
-/// count — the differential/proptest suites and the wallclock sweep pin
-/// virtual results (and meter sync overhead) at thread counts the host
-/// may not physically have.
-pub fn set_default_threads_forced(n: u32) {
-    DEFAULT_THREADS.with(|c| c.set(n.max(1)));
-}
-
-/// The current thread's default for [`ClusterCfg::threads`].
-pub fn default_threads() -> u32 {
-    DEFAULT_THREADS.with(|c| c.get())
-}
-
-/// Set the window-batch depth newly built [`ClusterCfg`]s default to
-/// (clamped to at least 1). See [`ClusterCfg::batch_windows`].
-pub fn set_default_batch_windows(k: u32) {
-    DEFAULT_BATCH_WINDOWS.with(|c| c.set(k.max(1)));
-}
-
-/// The current thread's default for [`ClusterCfg::batch_windows`].
-pub fn default_batch_windows() -> u32 {
-    DEFAULT_BATCH_WINDOWS.with(|c| c.get())
-}
-
-/// Set the hand-off work floor newly built [`ClusterCfg`]s default to.
-/// See [`ClusterCfg::handoff_min_events`]; 0 hands off every eligible
-/// window (the determinism suites use this to keep the worker path fully
-/// exercised on tiny configurations).
-pub fn set_default_handoff_min_events(n: u32) {
-    DEFAULT_HANDOFF_MIN.with(|c| c.set(n));
-}
-
-/// The current thread's default for [`ClusterCfg::handoff_min_events`].
-pub fn default_handoff_min_events() -> u32 {
-    DEFAULT_HANDOFF_MIN.with(|c| c.get())
-}
-
-/// Drain this thread's accumulated parallel-sync overhead meter: the
-/// nanoseconds runs since the last call spent waiting at pool barriers
-/// (as opposed to executing events). Always 0 for sequential runs.
-pub fn take_sync_overhead_ns() -> u64 {
-    SYNC_OVERHEAD.with(|c| c.replace(0))
-}
 
 /// Cluster-wide configuration.
 #[derive(Debug, Clone)]
@@ -142,23 +45,11 @@ pub struct ClusterCfg {
     /// inert default injects nothing). Kept here so drivers and reports can
     /// see at the cluster level whether a run was a chaos run.
     pub fault: gemini_net::FaultPlan,
-    /// Worker threads for [`Cluster::run`]: 1 = sequential engine, N > 1 =
-    /// conservative parallel execution over node partitions (bit-identical
-    /// results — see DESIGN.md §10). Defaults to [`default_threads`].
+    /// Host threads for [`Cluster::run`]. The only accepted value is 1:
+    /// the simulator has one sequential engine (DESIGN.md §10), and
+    /// [`Cluster::new`] panics on anything else. Kept so configurations
+    /// that spell it out still build.
     pub threads: u32,
-    /// Consecutive lookahead windows a worker may execute per barrier
-    /// crossing (≥ 1). Workers publish a per-partition frontier once per
-    /// window and bound themselves by the other partitions' frontiers
-    /// plus the lookahead, so deeper batches amortize the barrier without
-    /// changing any virtual timestamp (DESIGN.md §10). Defaults to
-    /// [`default_batch_windows`].
-    pub batch_windows: u32,
-    /// Minimum events queued across the window's ready partitions before
-    /// the driver wakes the worker pool; smaller windows execute inline
-    /// on the driver thread in the same canonical order (bit-identical,
-    /// just cheaper than a barrier round-trip for a handful of events).
-    /// Defaults to [`default_handoff_min_events`].
-    pub handoff_min_events: u32,
 }
 
 impl ClusterCfg {
@@ -172,9 +63,7 @@ impl ClusterCfg {
             max_events: 2_000_000_000,
             seed: 0xC0FFEE,
             fault: gemini_net::FaultPlan::default(),
-            threads: default_threads(),
-            batch_windows: default_batch_windows(),
-            handoff_min_events: default_handoff_min_events(),
+            threads: 1,
         }
     }
 
@@ -247,8 +136,8 @@ pub(crate) struct PeState {
     pub(crate) am: crate::am::AmPe,
     qd: QdPe,
     /// Per-PE persistent-channel handle counter. Handles are namespaced by
-    /// PE (`pe << 32 | local`) so allocation is identical no matter which
-    /// thread executes the PE in parallel mode.
+    /// PE (`pe << 32 | local`) so a handle's value depends only on its own
+    /// PE's history.
     next_persistent: u64,
     /// This PE's own latest checkpoint (survivors roll back to it).
     pub(crate) ft_local: Option<Arc<FtSnapshot>>,
@@ -351,7 +240,7 @@ pub struct RunReport {
 /// A complete simulated job.
 pub struct Cluster {
     /// Shared immutable configuration: one copy behind an `Arc`, no
-    /// matter how many PEs, workers, or report handles look at it.
+    /// matter how many PEs or report handles look at it.
     pub cfg: Arc<ClusterCfg>,
     now: Time,
     pub(crate) events: EventQueue<Event>,
@@ -385,14 +274,16 @@ pub struct Cluster {
     /// single hottest host allocation at scale. Purely a host-memory
     /// optimization — virtual time never observes it.
     outbox_pool: mempool::ObjPool<Vec<(Time, Event)>>,
-    /// Recycles the parallel driver's per-partition `ExecOut` scratch
-    /// buffers (trace/cmd/outbox vectors) across `run_parallel` calls.
-    /// Host-memory only — virtual time never observes it.
-    exec_pool: mempool::ObjPool<ExecOut>,
 }
 
 impl Cluster {
     pub fn new(cfg: ClusterCfg, layer: Box<dyn MachineLayer>) -> Self {
+        assert!(
+            cfg.threads == 1,
+            "ClusterCfg::threads = {}: the parallel engine was removed; \
+             the simulator runs sequentially and only threads = 1 is accepted",
+            cfg.threads
+        );
         if let Err(e) = cfg.fault.validate() {
             panic!("invalid fault plan: {e}");
         }
@@ -421,7 +312,6 @@ impl Cluster {
             crash_gate,
             ft: None,
             outbox_pool: mempool::ObjPool::new(4),
-            exec_pool: mempool::ObjPool::new(16),
         };
         // Handler 0 is reserved for the Charm dispatch (arrays, broadcast,
         // reductions — see charm.rs).
@@ -446,10 +336,8 @@ impl Cluster {
             let mut ctx = MachineCtx {
                 now: 0,
                 cfg: &c.cfg,
-                back: McBack::Seq {
-                    pes: &mut c.pes,
-                    events: &mut c.events,
-                },
+                pes: &mut c.pes,
+                events: &mut c.events,
                 trace: &mut c.trace,
                 stats: &mut c.stats,
             };
@@ -459,9 +347,9 @@ impl Cluster {
         c
     }
 
-    /// Register a Converse handler; returns its id. Handlers must be
-    /// `Send + Sync` because parallel runs execute them from worker
-    /// threads (shared immutably, one PE at a time).
+    /// Register a Converse handler; returns its id. Handlers are
+    /// `Send + Sync` so a whole `Cluster` can move to, or be built on,
+    /// any host thread.
     pub fn register_handler(
         &mut self,
         f: impl Fn(&mut PeCtx, Envelope) + Send + Sync + 'static,
@@ -561,8 +449,7 @@ impl Cluster {
     }
 
     /// Run until the event queue drains, a handler calls [`PeCtx::stop`],
-    /// or `max_events` is hit. With `cfg.threads > 1` this dispatches to
-    /// [`Cluster::run_parallel`]; results are bit-identical either way.
+    /// or `max_events` is hit.
     pub fn run(&mut self) -> RunReport {
         if self.ft.is_some() {
             assert!(
@@ -583,14 +470,10 @@ impl Cluster {
                  call enable_ft() or drop restart_after_ns"
             );
         }
-        if self.cfg.threads > 1 {
-            self.run_parallel(self.cfg.threads)
-        } else {
-            self.run_seq()
-        }
+        self.run_seq()
     }
 
-    /// The sequential engine (`threads = 1` degenerate case).
+    /// The event loop: pop the earliest event, [`Self::dispatch`] it.
     fn run_seq(&mut self) -> RunReport {
         while !self.stopped {
             if self.stats.events >= self.cfg.max_events {
@@ -816,10 +699,8 @@ impl Cluster {
             let mut ctx = MachineCtx {
                 now: t,
                 cfg: &self.cfg,
-                back: McBack::Seq {
-                    pes: &mut self.pes,
-                    events: &mut self.events,
-                },
+                pes: &mut self.pes,
+                events: &mut self.events,
                 trace: &mut self.trace,
                 stats: &mut self.stats,
             };
@@ -833,9 +714,9 @@ impl Cluster {
         if st.busy_until > t {
             // Still finishing earlier work (overhead charges can extend it).
             // A busy wakeup does no work; it is excluded from the event
-            // count because how many occur depends on engine scheduling
+            // count because how many occur depends on queue scheduling
             // internals (how often busy_until moved after the wakeup was
-            // scheduled), and the count must stay engine-invariant.
+            // scheduled), not on the simulated job.
             self.stats.events -= 1;
             self.stats.event_kinds[0] -= 1;
             self.events.push(st.busy_until, Event::PeRun(pe));
@@ -908,218 +789,14 @@ impl Cluster {
             self.events.push(st.busy_until, Event::PeRun(pe));
         }
     }
-
-    /// Conservative parallel execution over node partitions (DESIGN.md §10).
-    ///
-    /// The cluster's nodes are split into `threads` contiguous partitions,
-    /// each owning its PEs' state and a keyed event queue. Execution
-    /// alternates a serial phase (main thread, canonical global order:
-    /// machine-layer events, command execution, ties) with bounded parallel
-    /// windows in which workers run PE-local events with
-    /// `t < min(next layer event, frontier + lookahead)`. Side effects that
-    /// touch shared accounting (trace, stats) are buffered per event and
-    /// replayed in canonical key order at the window barrier, so every
-    /// virtual timestamp, trace charge, RNG draw and statistic is
-    /// bit-identical to [`Cluster::run`] with `threads = 1`.
-    ///
-    /// Falls back to the sequential engine when parallelism cannot help or
-    /// is unsupported: `threads <= 1`, fewer than two nodes, quiescence
-    /// detection installed (QD shares one global ledger), or node-crash
-    /// chaos (crash enactment and checkpoint/recovery mutate PE state
-    /// across every partition at one instant, which the windowed engine
-    /// cannot interleave — forcing serial keeps crash runs bit-identical
-    /// at any thread count).
-    pub fn run_parallel(&mut self, threads: u32) -> RunReport {
-        if threads <= 1
-            || self.qd.is_some()
-            || self.cfg.num_nodes() < 2
-            || self.ft.is_some()
-            || self.cfg.fault.has_node_crash()
-            // A streaming trace sink writes records in global execution
-            // order as they happen; the windowed engine replays trace
-            // effects per partition (order-equivalent for every other
-            // consumer, not for a byte stream).
-            || self.trace.has_sink()
-        {
-            return self.run_seq();
-        }
-        let nparts = threads.min(self.cfg.num_nodes());
-        let num_pes = self.cfg.num_pes;
-        let cores = self.cfg.cores_per_node;
-
-        // Contiguous node blocks; a node's PEs never split across partitions
-        // (intra-node traffic must stay partition-local — the lookahead
-        // bound only covers cross-node latency).
-        let node_ranges = partition_ranges(self.cfg.num_nodes(), nparts);
-        let mut pe_part = vec![0u32; num_pes as usize];
-        let mut parts: Vec<PartData> = Vec::with_capacity(node_ranges.len());
-        // The parallel engine owns PE state densely per partition:
-        // materialize everything (whole-machine parallel runs touch every
-        // PE anyway) and take the dense vector.
-        let mut all_pes = self.pes.take_dense().into_iter();
-        for (i, r) in node_ranges.iter().enumerate() {
-            let lo = (r.start * cores).min(num_pes);
-            let hi = (r.end * cores).min(num_pes);
-            for pe in lo..hi {
-                pe_part[pe as usize] = i as u32;
-            }
-            parts.push(PartData {
-                idx: i as u32,
-                base_pe: lo,
-                pes: all_pes.by_ref().take((hi - lo) as usize).collect(),
-                q: KeyedQueue::new(),
-                epoch: 0,
-                fx: Vec::new(),
-                origins: Vec::new(),
-                trace_ops: Vec::new(),
-                cmds: Vec::new(),
-                scratch: self.exec_pool.get(),
-            });
-        }
-        debug_assert!(all_pes.next().is_none());
-
-        // Split the pending queue in pop order: `(time, seq)` pop order IS
-        // the canonical order, so assigning ascending flat ordinals here
-        // seeds the keyed queues with the exact sequential tie-break.
-        let mut serial: KeyedQueue<Event> = KeyedQueue::new();
-        let mut ord = 0u64;
-        while let Some((t, ev)) = self.events.pop() {
-            let key = EvKey::flat(t, ord);
-            ord += 1;
-            match &ev {
-                Event::PeRun(pe) | Event::Deliver(pe, _) => {
-                    parts[pe_part[*pe as usize] as usize].q.push(key, ev)
-                }
-                _ => serial.push(key, ev),
-            }
-        }
-
-        let lookahead = self.layer.as_ref().expect("layer").lookahead().max(1);
-        let ctl = BatchCtl {
-            halt: AtomicU64::new(u64::MAX),
-            frontiers: (0..nparts).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            lookahead,
-            batch_windows: self.cfg.batch_windows.max(1),
-        };
-        let (parts, sync_ns, serial, stop_leftovers, end_now, end_stopped) = {
-            let Cluster {
-                cfg,
-                layer,
-                handlers,
-                charm,
-                am,
-                trace,
-                stats,
-                system_handlers,
-                ..
-            } = &mut *self;
-            let env = ExecEnv {
-                cfg,
-                handlers,
-                charm_reg: charm,
-                am_reg: am,
-                system_handlers,
-            };
-            let mut driver = ParDriver {
-                cfg,
-                handlers,
-                charm_reg: charm,
-                am_reg: am,
-                system_handlers,
-                layer,
-                trace,
-                stats,
-                pe_part: &pe_part,
-                serial,
-                ord,
-                now: 0,
-                stopped: false,
-                lookahead,
-                ctl: &ctl,
-                scratch: ExecOut::default(),
-                leftovers: Vec::new(),
-            };
-            let (parts, sync_ns) = run_pool(
-                parts,
-                nparts as usize,
-                |part, t_s| phase_run(part, t_s, &env, &ctl),
-                |parts| driver.step(parts),
-            );
-            (
-                parts,
-                sync_ns,
-                driver.serial,
-                driver.leftovers,
-                driver.now,
-                driver.stopped,
-            )
-        };
-
-        SYNC_OVERHEAD.with(|c| c.set(c.get().saturating_add(sync_ns)));
-        self.now = end_now;
-        self.stopped = end_stopped;
-        // Reassemble PE state (partitions are contiguous and in order) and
-        // put any still-pending events back on the sequential queue in
-        // canonical order, mirroring the state `run_seq` leaves on an early
-        // stop. At most one source is non-empty: a stop found *inside a
-        // window* drains every queue into `stop_leftovers` (already in
-        // canonical order); a stop on the serial frontier leaves flat-keyed
-        // queues, where the plain key sort is the canonical order.
-        let mut serial = serial;
-        let mut leftover_evs: Vec<(EvKey, Event)> = serial.drain_sorted();
-        let mut pes = Vec::with_capacity(num_pes as usize);
-        for mut p in parts {
-            leftover_evs.extend(p.q.drain_sorted());
-            pes.append(&mut p.pes);
-            self.exec_pool.put(std::mem::take(&mut p.scratch));
-        }
-        leftover_evs.sort_by_key(|e| e.0);
-        for (k, ev) in leftover_evs {
-            self.events.push(k.t, ev);
-        }
-        for (t, ev) in stop_leftovers {
-            self.events.push(t, ev);
-        }
-        self.pes.restore_dense(pes);
-
-        RunReport {
-            end_time: self.now,
-            stats: self.stats.clone(),
-            stopped_early: self.stopped,
-        }
-    }
-}
-
-/// Event-storage backend behind a [`MachineCtx`]: the sequential engine's
-/// single queue, or the parallel driver's partitioned queues. Layers never
-/// see the difference — pushes route by event class (PE-local `PeRun`/
-/// `Deliver` to the owning partition, layer events to the serial queue)
-/// with main-thread `Flat` ordinals, so the canonical event order is the
-/// sequential `(time, push-seq)` order in both modes.
-pub(crate) enum McBack<'a> {
-    Seq {
-        pes: &'a mut PeTable,
-        events: &'a mut EventQueue<Event>,
-    },
-    Par {
-        parts: &'a mut [PartData],
-        pe_part: &'a [u32],
-        serial: &'a mut KeyedQueue<Event>,
-        ord: &'a mut u64,
-        /// Partition of the PE whose `Cmd` is executing, when one is: its
-        /// cross-partition pushes must respect the lookahead bound (see
-        /// the debug assert in `push_par`). `None` for machine events,
-        /// whose pushes are ordered by the serial phase unconditionally.
-        cur_part: Option<u32>,
-        lookahead: Time,
-    },
 }
 
 /// What a machine layer sees of the cluster.
 pub struct MachineCtx<'a> {
     now: Time,
     cfg: &'a ClusterCfg,
-    back: McBack<'a>,
+    pes: &'a mut PeTable,
+    events: &'a mut EventQueue<Event>,
     trace: &'a mut Trace,
     stats: &'a mut ClusterStats,
 }
@@ -1129,80 +806,9 @@ impl MachineCtx<'_> {
         self.now
     }
 
-    fn pe_state_mut(&mut self, pe: PeId) -> &mut PeState {
-        match &mut self.back {
-            McBack::Seq { pes, .. } => pes.get_mut(pe as usize),
-            McBack::Par { parts, pe_part, .. } => {
-                let p = &mut parts[pe_part[pe as usize] as usize];
-                let base = p.base_pe;
-                &mut p.pes[(pe - base) as usize]
-            }
-        }
-    }
-
-    /// Route one event push through the active backend.
-    // serial-only: mutates shared queues
     fn push_event(&mut self, at: Time, ev: Event) {
         debug_assert!(at >= self.now);
-        match &mut self.back {
-            McBack::Seq { events, .. } => events.push(at, ev),
-            McBack::Par {
-                parts,
-                pe_part,
-                serial,
-                ord,
-                cur_part,
-                lookahead,
-            } => {
-                let key = EvKey::flat(at, **ord);
-                **ord += 1;
-                let target = match &ev {
-                    Event::PeRun(pe) | Event::Deliver(pe, _) => Some(*pe),
-                    Event::Machine(pe, _) | Event::MachineNow(pe, _) | Event::ParkedWake(pe) => {
-                        // Serial-queue events, but still subject to the
-                        // lookahead contract when pushed from a Cmd.
-                        if let Some(cp) = cur_part {
-                            if pe_part[*pe as usize] != *cp {
-                                debug_assert!(
-                                    at >= self.now + *lookahead,
-                                    "cross-partition machine event at {} violates lookahead {} (now {})",
-                                    at,
-                                    lookahead,
-                                    self.now
-                                );
-                            }
-                        }
-                        None
-                    }
-                    Event::Cmd(..) => None,
-                    // Node-crash plans force the sequential engine, so
-                    // these never reach the parallel backend.
-                    Event::NodeLife(..) | Event::FtRecover(_) => {
-                        // run_parallel forces the serial engine whenever the
-                        // fault plan schedules crashes. panic-ok: see above.
-                        unreachable!("crash events in the parallel backend")
-                    }
-                };
-                match target {
-                    Some(pe) => {
-                        let tp = pe_part[pe as usize];
-                        if let Some(cp) = cur_part {
-                            if tp != *cp {
-                                debug_assert!(
-                                    at >= self.now + *lookahead,
-                                    "cross-partition delivery at {} violates lookahead {} (now {})",
-                                    at,
-                                    lookahead,
-                                    self.now
-                                );
-                            }
-                        }
-                        parts[tp as usize].q.push(key, ev);
-                    }
-                    None => serial.push(key, ev),
-                }
-            }
-        }
+        self.events.push(at, ev);
     }
 
     pub fn num_pes(&self) -> u32 {
@@ -1223,25 +829,22 @@ impl MachineCtx<'_> {
 
     /// When the PE will next be free (>= now when busy).
     pub fn pe_free_at(&mut self, pe: PeId) -> Time {
-        self.pe_state_mut(pe).busy_until
+        self.pes.get_mut(pe as usize).busy_until
     }
 
     /// Hand a fully received, decoded-ready message to a PE's scheduler,
     /// effective immediately.
-    // serial-only: applies an effect
     pub fn deliver_now(&mut self, pe: PeId, msg: Bytes) {
         self.push_event(self.now, Event::Deliver(pe, msg));
     }
 
     /// Deliver at a future instant (e.g. after a modeled copy completes).
-    // serial-only: applies an effect
     pub fn deliver_at(&mut self, at: Time, pe: PeId, msg: Bytes) {
         self.push_event(at, Event::Deliver(pe, msg));
     }
 
     /// Schedule a machine-layer event for `pe` at `at` (delivered when the
     /// PE is free — use for progress-engine work like draining mailboxes).
-    // serial-only: applies an effect
     pub fn schedule(&mut self, at: Time, pe: PeId, ev: Box<dyn Any + Send>) {
         self.push_event(at, Event::Machine(pe, ev));
     }
@@ -1251,20 +854,18 @@ impl MachineCtx<'_> {
     /// ship the control message") whose CPU cost was already charged —
     /// deferring those would serialize independent transfers behind
     /// unrelated work.
-    // serial-only: applies an effect
     pub fn schedule_nodefer(&mut self, at: Time, pe: PeId, ev: Box<dyn Any + Send>) {
         self.push_event(at, Event::MachineNow(pe, ev));
     }
 
     /// Charge `ns` of protocol-processing time to `pe`, starting no earlier
     /// than now. Extends the PE's busy window and records overhead.
-    // serial-only: writes trace + busy windows
     pub fn charge_overhead(&mut self, pe: PeId, ns: Time) {
         if ns == 0 {
             return;
         }
         let now = self.now;
-        let st = self.pe_state_mut(pe);
+        let st = self.pes.get_mut(pe as usize);
         let start = st.busy_until.max(now);
         st.busy_until = start + ns;
         self.trace.record(pe, start, ns, Kind::Overhead);
@@ -1273,1059 +874,21 @@ impl MachineCtx<'_> {
     /// Charge `ns` of fault-recovery time to `pe` (retries, CQ resyncs,
     /// registration fallbacks). Same busy-window semantics as
     /// [`MachineCtx::charge_overhead`], accounted separately in the trace.
-    // serial-only: writes trace + busy windows
     pub fn charge_recovery(&mut self, pe: PeId, ns: Time) {
         if ns == 0 {
             return;
         }
         let now = self.now;
-        let st = self.pe_state_mut(pe);
+        let st = self.pes.get_mut(pe as usize);
         let start = st.busy_until.max(now);
         st.busy_until = start + ns;
         self.trace.record(pe, start, ns, Kind::Recovery);
     }
 
     /// Count a message the machine layer actually put on the wire.
-    // serial-only: writes shared stats
     pub fn count_send(&mut self, bytes: u64) {
         self.stats.net_msgs += 1;
         self.stats.net_bytes += bytes;
-    }
-}
-
-impl ClusterStats {
-    /// Accumulate a buffered per-event delta (all counters are sums).
-    fn add(&mut self, o: &ClusterStats) {
-        self.events += o.events;
-        for i in 0..self.event_kinds.len() {
-            self.event_kinds[i] += o.event_kinds[i];
-        }
-        self.handlers_run += o.handlers_run;
-        self.msgs_sent += o.msgs_sent;
-        self.msgs_delivered += o.msgs_delivered;
-        self.bytes_sent += o.bytes_sent;
-        self.net_msgs += o.net_msgs;
-        self.net_bytes += o.net_bytes;
-        self.ft_dead_drops += o.ft_dead_drops;
-        self.ft_stale_drops += o.ft_stale_drops;
-        self.am_agg_sent += o.am_agg_sent;
-        self.am_batches += o.am_batches;
-    }
-}
-
-/// Shared read-only context needed to execute a PE-local event, usable
-/// from worker threads (everything in here is `Sync`).
-struct ExecEnv<'a> {
-    cfg: &'a ClusterCfg,
-    #[allow(clippy::type_complexity)]
-    handlers: &'a [Arc<dyn Fn(&mut PeCtx, Envelope) + Send + Sync>],
-    charm_reg: &'a CharmRegistry,
-    am_reg: &'a crate::am::AmRegistry,
-    system_handlers: &'a std::collections::HashSet<u16>,
-}
-
-/// Buffered side effects of one event execution: everything that touches
-/// state outside the owning partition. Replayed in canonical key order.
-#[derive(Default)]
-struct ExecOut {
-    stats: ClusterStats,
-    trace: Vec<TraceOp>,
-    cmds: Vec<(EvKey, Event)>,
-    stop: bool,
-    /// Recycled handler outbox (the worker's counterpart of the
-    /// sequential engine's pooled outbox): drained after every handler,
-    /// so only the allocation survives between events.
-    outbox: Vec<(Time, Event)>,
-}
-
-impl ExecOut {
-    fn clear(&mut self) {
-        self.stats = ClusterStats::default();
-        self.trace.clear();
-        self.cmds.clear();
-        self.stop = false;
-        self.outbox.clear();
-    }
-}
-
-impl mempool::Reset for ExecOut {
-    fn reset(&mut self) {
-        self.clear();
-    }
-}
-
-/// One executed event's buffered effects, in partition execution (= key)
-/// order. The trace ops live in a per-partition stream (`trace_ops`);
-/// `trace_n` is this record's run length in it.
-struct FxRec {
-    key: EvKey,
-    stats: ClusterStats,
-    trace_n: u32,
-    stop: bool,
-}
-
-/// Per-partition state owned by one worker during a parallel window batch.
-pub(crate) struct PartData {
-    /// This partition's index (= its slot in the driver's `parts` /
-    /// frontier arrays).
-    idx: u32,
-    base_pe: u32,
-    pes: Vec<PeState>,
-    q: KeyedQueue<Event>,
-    /// Global push-ordinal watermark at the start of the current phase:
-    /// in-phase keys mint partition-local ordinals `epoch + i`.
-    epoch: u64,
-    fx: Vec<FxRec>,
-    /// Push-origin log for the current phase: `origins[k.ord - epoch]` is
-    /// the index (into `fx`) of the event whose execution pushed the
-    /// in-phase key `k`. `canon_cmp` uses it to order in-phase keys of
-    /// different partitions by their parents.
-    origins: Vec<u32>,
-    trace_ops: Vec<TraceOp>,
-    cmds: Vec<(EvKey, Event)>,
-    scratch: ExecOut,
-}
-
-/// Execute one PE-local event (`PeRun` or `Deliver`) exactly as the
-/// sequential engine's `dispatch`/`pe_run` would, with effects buffered
-/// into `out` and pushes keyed by `mk_key(at)` — called once per push, in
-/// push order, so the key minter's internal counter reproduces the
-/// sequential engine's push sequence.
-///
-/// Mirrors `Cluster::dispatch` (Deliver arm) and `Cluster::pe_run` — keep
-/// the two in sync; the differential tests in `tests/` compare them
-/// bit for bit. (The sequential path stays separate so `threads = 1` pays
-/// none of the buffering cost.)
-#[allow(clippy::too_many_arguments)] // mirrors dispatch()'s full PE context
-fn exec_local_event(
-    env: &ExecEnv,
-    pes: &mut [PeState],
-    base_pe: u32,
-    q: &mut KeyedQueue<Event>,
-    t: Time,
-    ev: Event,
-    mut mk_key: impl FnMut(Time) -> EvKey,
-    out: &mut ExecOut,
-) {
-    out.clear();
-    match ev {
-        Event::Deliver(pe, bytes) => {
-            out.stats.events += 1;
-            out.stats.event_kinds[1] += 1;
-            let menv = Envelope::decode(&bytes);
-            debug_assert_eq!(menv.dst_pe, pe);
-            out.stats.msgs_delivered += 1;
-            out.trace.push(TraceOp::CountMsg(pe));
-            let st = &mut pes[(pe - base_pe) as usize];
-            if !env.system_handlers.contains(&menv.handler.0) {
-                st.qd.delivered += 1;
-            }
-            let seq = st.queue_seq;
-            st.queue_seq += 1;
-            st.queue.push(std::cmp::Reverse(PrioEnv {
-                prio: menv.priority,
-                seq,
-                env: menv,
-            }));
-            if !st.run_scheduled {
-                st.run_scheduled = true;
-                let at = t.max(st.busy_until);
-                q.push(mk_key(at), Event::PeRun(pe));
-            }
-        }
-        Event::PeRun(pe) => {
-            let sti = (pe - base_pe) as usize;
-            if pes[sti].busy_until > t {
-                // Busy wakeup: uncounted, mirroring `pe_run` — the event
-                // count must not depend on which engine ran the PE.
-                let at = pes[sti].busy_until;
-                q.push(mk_key(at), Event::PeRun(pe));
-                return;
-            }
-            out.stats.events += 1;
-            out.stats.event_kinds[0] += 1;
-            let Some(std::cmp::Reverse(PrioEnv { env: menv, .. })) = pes[sti].queue.pop() else {
-                pes[sti].run_scheduled = false;
-                return;
-            };
-            let handler = env
-                .handlers
-                .get(menv.handler.0 as usize)
-                .unwrap_or_else(|| panic!("unregistered handler {:?}", menv.handler))
-                .clone();
-
-            let mut outbox = std::mem::take(&mut out.outbox);
-            let mut stop = false;
-            // QD and FT both force the sequential engine; handlers here
-            // never touch either.
-            let mut no_qd: Option<QdState> = None;
-            let mut no_ft: Option<FtCore> = None;
-            let (charged_app, charged_ovh) = {
-                let st = &mut pes[sti];
-                let mut ctx = PeCtx {
-                    pe,
-                    start: t,
-                    charged_app: 0,
-                    charged_ovh: 0,
-                    cfg: env.cfg,
-                    user: &mut st.user,
-                    rng: &mut st.rng,
-                    charm_pe: &mut st.charm,
-                    charm_reg: env.charm_reg,
-                    am_pe: &mut st.am,
-                    am_reg: env.am_reg,
-                    outbox: &mut outbox,
-                    stop: &mut stop,
-                    next_persistent: &mut st.next_persistent,
-                    stats: &mut out.stats,
-                    qd_pe: &mut st.qd,
-                    qd_global: &mut no_qd,
-                    system_handlers: env.system_handlers,
-                    ft_global: &mut no_ft,
-                    epoch: 0,
-                };
-                handler(&mut ctx, menv);
-                (ctx.charged_app, ctx.charged_ovh)
-            };
-            out.stats.handlers_run += 1;
-
-            let total = charged_app + charged_ovh + env.cfg.sched_overhead;
-            out.trace
-                .push(TraceOp::Record(pe, t, charged_app, Kind::Busy));
-            out.trace.push(TraceOp::Record(
-                pe,
-                t + charged_app,
-                charged_ovh + env.cfg.sched_overhead,
-                Kind::Overhead,
-            ));
-
-            for (at, ev) in outbox.drain(..) {
-                let key = mk_key(at);
-                match &ev {
-                    // Handler Delivers are self-send loopback: always this PE.
-                    Event::Deliver(..) => q.push(key, ev),
-                    Event::Cmd(..) => out.cmds.push((key, ev)),
-                    _ => unreachable!("handlers only emit Deliver/Cmd"),
-                }
-            }
-            out.outbox = outbox;
-            out.stop = stop;
-
-            let st = &mut pes[sti];
-            st.busy_until = t + total;
-            if st.queue.is_empty() {
-                st.run_scheduled = false;
-            } else {
-                q.push(mk_key(st.busy_until), Event::PeRun(pe));
-            }
-        }
-        _ => unreachable!("partition queues hold only PeRun/Deliver"),
-    }
-}
-
-/// Upper bound on events one partition executes per parallel window
-/// batch, so the `max_events` safety valve is checked (on the main
-/// thread) with bounded overshoot.
-const PHASE_CAP: usize = 4096;
-
-/// Shared control state of one parallel window batch. Workers only ever
-/// exchange monotone time bounds through it: `halt` shrinks (fetch_min),
-/// each partition's frontier grows (one release-store per window) — a
-/// stale read is always the *smaller* value, which is conservative, so no
-/// ordering decision can race. worker-ok: see above.
-struct BatchCtl {
-    /// Global early-stop bound (DESIGN.md §10): a worker that executes a
-    /// stop or emits a `CreatePersistent` command publishes its timestamp
-    /// so every partition halts there.
-    halt: AtomicU64,
-    /// Per-partition progress frontier: a lower bound on any event the
-    /// partition has yet to execute *and* on any cross-partition push its
-    /// pending commands may cause (commands execute serially later, and
-    /// their deliveries land at least `lookahead` after the command).
-    frontiers: Vec<AtomicU64>,
-    lookahead: Time,
-    /// Max consecutive windows per barrier crossing ([`ClusterCfg::batch_windows`]).
-    batch_windows: u32,
-}
-
-/// One partition's parallel window batch: run PE-local events in
-/// canonical key order while `t` stays below every bound the partition
-/// must respect — the serial-class horizon `t_s`, its own first pending
-/// command, the global halt, and every *other* partition's published
-/// frontier plus the lookahead. After each window it publishes its own
-/// new frontier and, if any other frontier moved, starts the next window
-/// without a barrier crossing — up to `batch_windows` windows per phase.
-/// Stopping early for any reason is always safe: unprocessed events
-/// simply stay queued for the next serial phase.
-fn phase_run(part: &mut PartData, t_s: Time, env: &ExecEnv, ctl: &BatchCtl) {
-    let me = part.idx as usize;
-    let epoch = part.epoch;
-    // First Cmd this partition emits bounds it: the command executes later
-    // (serially, in canonical order) and may extend the issuing PE's busy
-    // window, so events at or after its timestamp must wait.
-    let mut bound = t_s;
-    let mut executed = 0usize;
-    let mut scratch = std::mem::take(&mut part.scratch);
-    for _window in 0..ctl.batch_windows.max(1) {
-        let mut lim = bound.min(ctl.halt.load(Ordering::Relaxed));
-        for (i, f) in ctl.frontiers.iter().enumerate() {
-            if i != me {
-                lim = lim.min(f.load(Ordering::Acquire).saturating_add(ctl.lookahead));
-            }
-        }
-        let mut progressed = false;
-        while executed < PHASE_CAP {
-            let Some(t) = part.q.peek_time() else { break };
-            if t >= lim {
-                break;
-            }
-            let (key, ev) = part.q.pop().expect("peeked");
-            let fx_idx = part.fx.len() as u32;
-            {
-                let PartData {
-                    base_pe,
-                    pes,
-                    q,
-                    origins,
-                    ..
-                } = &mut *part;
-                exec_local_event(
-                    env,
-                    pes,
-                    *base_pe,
-                    q,
-                    t,
-                    ev,
-                    |at| {
-                        let k = EvKey {
-                            t: at,
-                            ord: epoch + origins.len() as u64,
-                        };
-                        origins.push(fx_idx);
-                        k
-                    },
-                    &mut scratch,
-                );
-            }
-            for (k, ev) in scratch.cmds.drain(..) {
-                bound = bound.min(k.t);
-                if matches!(&ev, Event::Cmd(_, Cmd::CreatePersistent { .. })) {
-                    // Persistent-channel setup charges the *remote* PE when
-                    // it executes; halt every partition at its timestamp so
-                    // that charge sees sequential busy state (DESIGN.md §10).
-                    ctl.halt.fetch_min(k.t, Ordering::Relaxed);
-                }
-                part.cmds.push((k, ev));
-            }
-            if scratch.stop {
-                ctl.halt.fetch_min(t, Ordering::Relaxed);
-            }
-            part.fx.push(FxRec {
-                key,
-                stats: scratch.stats.clone(),
-                trace_n: scratch.trace.len() as u32,
-                stop: scratch.stop,
-            });
-            part.trace_ops.append(&mut scratch.trace);
-            progressed = true;
-            executed += 1;
-        }
-        // Publish how far this partition has provably advanced: its next
-        // pending event and its first pending command both lower-bound
-        // everything it can still cause. Monotone across windows (event
-        // times are non-decreasing and new commands carry times at or
-        // after the event that emitted them), so a peer acting on the old
-        // value is merely conservative.
-        let f = part.q.peek_time().unwrap_or(u64::MAX).min(bound);
-        ctl.frontiers[me].store(f, Ordering::Release);
-        if !progressed || executed >= PHASE_CAP {
-            break;
-        }
-    }
-    part.scratch = scratch;
-}
-
-/// Compare two phase keys in canonical (sequential push) order. `epoch`
-/// is the phase's shared ordinal watermark; `pa`/`pb` name the partition
-/// each key lives in (any value is fine for pre-phase keys — their order
-/// is decided without touching partition state; [`SER`] marks keys from
-/// the serial queue, which never holds in-phase keys).
-///
-/// Time dominates. At equal times: two pre-phase keys (`ord < epoch`)
-/// compare by their global ordinals; a pre-phase key precedes any
-/// in-phase key (everything pushed during the phase was pushed after it);
-/// two in-phase keys of the same partition compare by local ordinal
-/// (partition execution order is canonical order); two in-phase keys of
-/// different partitions are ordered by their *parents* — the events whose
-/// execution pushed them, recorded in the partitions' `origins` logs —
-/// because the sequential engine would have numbered their pushes in
-/// parent execution order. Parent chains ground in pre-phase keys, so the
-/// recursion terminates.
-fn canon_cmp(
-    parts: &[PartData],
-    epoch: u64,
-    pa: usize,
-    ka: EvKey,
-    pb: usize,
-    kb: EvKey,
-) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    match ka.t.cmp(&kb.t) {
-        Ordering::Equal => {}
-        o => return o,
-    }
-    match (ka.ord < epoch, kb.ord < epoch) {
-        (true, true) => ka.ord.cmp(&kb.ord),
-        (true, false) => Ordering::Less,
-        (false, true) => Ordering::Greater,
-        (false, false) => {
-            if pa == pb {
-                return ka.ord.cmp(&kb.ord);
-            }
-            let fa = parts[pa].origins[(ka.ord - epoch) as usize] as usize;
-            let fb = parts[pb].origins[(kb.ord - epoch) as usize] as usize;
-            let pka = parts[pa].fx[fa].key;
-            let pkb = parts[pb].fx[fb].key;
-            // Distinct parents (they live in different partitions), so the
-            // recursive comparison decides; the ordinal tiebreak is for
-            // form only.
-            canon_cmp(parts, epoch, pa, pka, pb, pkb).then(ka.ord.cmp(&kb.ord))
-        }
-    }
-}
-
-/// Partition marker for serial-queue keys in [`canon_cmp`]/[`ckey_cmp`]:
-/// the serial queue only ever holds pre-phase (flat) keys, whose order
-/// never consults partition state.
-const SER: usize = usize::MAX;
-
-/// A classified key during the stop drain ([`ParDriver::finish_stop`]):
-/// `phase` keys were minted before or during the interrupted phase and
-/// compare by [`canon_cmp`]; fresh keys (`phase == false`) are flat
-/// ordinals minted *by the drain itself* from the driver's global counter
-/// — numerically overlapping the in-phase range, so the class must be
-/// tracked structurally.
-#[derive(Clone, Copy)]
-struct CKey {
-    phase: bool,
-    part: usize,
-    k: EvKey,
-}
-
-/// Canonical order over classified keys: within a class, the class's own
-/// order; across classes at equal times, phase keys first (everything the
-/// drain pushes was pushed after every pre-existing event at that time —
-/// the same root-before-descendant rule the sequential engine's push
-/// counter encodes).
-fn ckey_cmp(parts: &[PartData], epoch: u64, a: CKey, b: CKey) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    match (a.phase, b.phase) {
-        (true, true) => canon_cmp(parts, epoch, a.part, a.k, b.part, b.k),
-        (false, false) => a.k.cmp(&b.k),
-        (true, false) => a.k.t.cmp(&b.k.t).then(Ordering::Less),
-        (false, true) => a.k.t.cmp(&b.k.t).then(Ordering::Greater),
-    }
-}
-
-/// Main-thread half of the parallel driver: harvests window output,
-/// executes the canonical serial frontier (machine layer, commands, ties),
-/// and decides the next window.
-struct ParDriver<'a> {
-    cfg: &'a ClusterCfg,
-    #[allow(clippy::type_complexity)]
-    handlers: &'a [Arc<dyn Fn(&mut PeCtx, Envelope) + Send + Sync>],
-    charm_reg: &'a CharmRegistry,
-    am_reg: &'a crate::am::AmRegistry,
-    system_handlers: &'a std::collections::HashSet<u16>,
-    layer: &'a mut Option<Box<dyn MachineLayer>>,
-    trace: &'a mut Trace,
-    stats: &'a mut ClusterStats,
-    pe_part: &'a [u32],
-    serial: KeyedQueue<Event>,
-    ord: u64,
-    now: Time,
-    stopped: bool,
-    lookahead: Time,
-    ctl: &'a BatchCtl,
-    scratch: ExecOut,
-    /// Events still pending when a stop found inside a window ended the
-    /// run, in canonical order (`finish_stop` fills this; the queues are
-    /// empty afterwards). `run_parallel` pushes them back on the
-    /// sequential queue at teardown.
-    leftovers: Vec<(Time, Event)>,
-}
-
-impl ParDriver<'_> {
-    fn pe_mut<'p>(&self, parts: &'p mut [PartData], pe: PeId) -> &'p mut PeState {
-        let p = &mut parts[self.pe_part[pe as usize] as usize];
-        let base = p.base_pe;
-        &mut p.pes[(pe - base) as usize]
-    }
-
-    /// The serial phase. Returns `Some(p_end)` to run a parallel window
-    /// with that bound, `None` when the run is complete.
-    fn step(&mut self, parts: &mut [PartData]) -> Option<Time> {
-        // ---- harvest the previous window batch ----
-        if parts.iter().any(|p| !p.fx.is_empty()) {
-            let epoch = parts.first().map_or(0, |p| p.epoch);
-            // Canonical-min stop across partitions. Within a partition the
-            // fx stream is in canonical order, so its first stop record is
-            // its earliest; cross-partition ties need the full comparison.
-            let mut stop: Option<(usize, EvKey)> = None;
-            for (i, p) in parts.iter().enumerate() {
-                if let Some(f) = p.fx.iter().find(|f| f.stop) {
-                    stop = match stop {
-                        Some((bi, bk))
-                            if canon_cmp(parts, epoch, bi, bk, i, f.key)
-                                != std::cmp::Ordering::Greater =>
-                        {
-                            Some((bi, bk))
-                        }
-                        _ => Some((i, f.key)),
-                    };
-                }
-            }
-            if let Some((pstar, kstar)) = stop {
-                self.finish_stop(parts, pstar, kstar);
-                return None;
-            }
-            self.replay_fx(parts);
-            self.flatten(parts);
-        }
-
-        // ---- canonical serial frontier ----
-        loop {
-            if self.stats.events >= self.cfg.max_events {
-                panic!(
-                    "simulation exceeded max_events={} at t={}",
-                    self.cfg.max_events, self.now
-                );
-            }
-            let t_s = self.serial.peek_time().unwrap_or(u64::MAX);
-            let t_l = parts
-                .iter()
-                .filter_map(|p| p.q.peek_time())
-                .min()
-                .unwrap_or(u64::MAX);
-            if t_s == u64::MAX && t_l == u64::MAX {
-                return None; // drained
-            }
-            if t_l < t_s {
-                let p_end = t_s.min(t_l.saturating_add(self.lookahead));
-                let mut ready = 0usize;
-                let mut queued = 0usize;
-                for p in parts.iter() {
-                    if p.q.peek_time().is_some_and(|t| t < p_end) {
-                        ready += 1;
-                        // Queue length is an upper bound on the events this
-                        // partition can execute in the batch — cheap, and
-                        // good enough to decide whether waking the pool can
-                        // possibly pay for the barrier crossing.
-                        queued += p.q.len();
-                    }
-                }
-                if ready >= 2 && queued >= self.cfg.handoff_min_events as usize {
-                    // Hand off: at least two partitions have work strictly
-                    // inside the first window. Workers bound themselves by
-                    // the serial horizon and each other's frontiers
-                    // (seeded here with the queue heads — exactly the
-                    // `t_l` this p_end was computed from), batching up to
-                    // `batch_windows` windows before the next barrier.
-                    self.ctl.halt.store(u64::MAX, Ordering::Relaxed);
-                    for (i, p) in parts.iter_mut().enumerate() {
-                        p.epoch = self.ord;
-                        self.ctl.frontiers[i]
-                            .store(p.q.peek_time().unwrap_or(u64::MAX), Ordering::Relaxed);
-                    }
-                    return Some(t_s);
-                }
-                // Single-partition or under-threshold window: run the
-                // canonical min inline (cheaper than a barrier round-trip
-                // for a handful of events).
-                let pi = self.min_part(parts).expect("partition head exists");
-                let (key, ev) = parts[pi].q.pop().expect("peeked");
-                // `now` is the furthest virtual time reached (harvested
-                // window effects may already sit past a pending command's
-                // timestamp, so it is a running max, not a monotone clock).
-                self.now = self.now.max(key.t);
-                self.exec_inline(&mut parts[pi], key.t, ev);
-            } else {
-                // Serial head is at or before every partition head; the
-                // canonical min is decided by full key comparison (time
-                // ties between a layer event and a PE event are real).
-                let part_min = self.min_part(parts);
-                let serial_first = match (self.serial.peek_key(), part_min) {
-                    (Some(sk), Some(pi)) => sk < parts[pi].q.peek_key().expect("head"),
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => unreachable!("checked above"),
-                };
-                if serial_first {
-                    let (key, ev) = self.serial.pop().expect("peeked");
-                    self.now = self.now.max(key.t);
-                    self.exec_serial(parts, key.t, ev);
-                } else {
-                    let pi = part_min.expect("partition head exists");
-                    let (key, ev) = parts[pi].q.pop().expect("peeked");
-                    self.now = self.now.max(key.t);
-                    self.exec_inline(&mut parts[pi], key.t, ev);
-                }
-            }
-            if self.stopped {
-                return None;
-            }
-        }
-    }
-
-    /// Index of the partition holding the smallest queue head key.
-    fn min_part(&self, parts: &[PartData]) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, p) in parts.iter().enumerate() {
-            if let Some(k) = p.q.peek_key() {
-                match best {
-                    None => best = Some(i),
-                    Some(b) => {
-                        if k < parts[b].q.peek_key().expect("head") {
-                            best = Some(i);
-                        }
-                    }
-                }
-            }
-        }
-        best
-    }
-
-    /// Execute a PE-local event on the main thread with immediate effect
-    /// application and `Flat` push ordinals — exactly the sequential
-    /// semantics.
-    fn exec_inline(&mut self, part: &mut PartData, t: Time, ev: Event) {
-        let env = ExecEnv {
-            cfg: self.cfg,
-            handlers: self.handlers,
-            charm_reg: self.charm_reg,
-            am_reg: self.am_reg,
-            system_handlers: self.system_handlers,
-        };
-        let mut ord = self.ord;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        {
-            let PartData {
-                base_pe, pes, q, ..
-            } = &mut *part;
-            exec_local_event(
-                &env,
-                pes,
-                *base_pe,
-                q,
-                t,
-                ev,
-                |at| {
-                    let k = EvKey::flat(at, ord);
-                    ord += 1;
-                    k
-                },
-                &mut scratch,
-            );
-        }
-        self.ord = ord;
-        self.stats.add(&scratch.stats);
-        for op in &scratch.trace {
-            self.trace.apply(op);
-        }
-        for (k, ev) in scratch.cmds.drain(..) {
-            self.serial.push(k, ev);
-        }
-        if scratch.stop {
-            self.stopped = true;
-        }
-        self.scratch = scratch;
-    }
-
-    /// Execute a serial-class event (machine layer, command, parked wake)
-    /// — the parallel-mode mirror of `Cluster::dispatch`'s layer arms.
-    fn exec_serial(&mut self, parts: &mut [PartData], t: Time, ev: Event) {
-        self.stats.events += 1;
-        self.stats.event_kinds[match &ev {
-            Event::PeRun(_) => 0,
-            Event::Deliver(..) => 1,
-            Event::Machine(..) | Event::ParkedWake(_) => 2,
-            Event::MachineNow(..) => 3,
-            Event::Cmd(..) => 4,
-            Event::NodeLife(..) | Event::FtRecover(_) => 2,
-        }] += 1;
-        match ev {
-            Event::Machine(pe, mev) => {
-                let st = self.pe_mut(parts, pe);
-                if st.busy_until > t {
-                    st.parked.push_back(mev);
-                    if !st.parked_wake {
-                        st.parked_wake = true;
-                        let at = st.busy_until;
-                        let k = EvKey::flat(at, self.ord);
-                        self.ord += 1;
-                        self.serial.push(k, Event::ParkedWake(pe));
-                    }
-                    return;
-                }
-                self.with_layer(parts, t, None, |layer, ctx| layer.on_event(ctx, pe, mev));
-            }
-            Event::MachineNow(pe, mev) => {
-                self.with_layer(parts, t, None, |layer, ctx| layer.on_event(ctx, pe, mev));
-            }
-            Event::ParkedWake(pe) => {
-                self.pe_mut(parts, pe).parked_wake = false;
-                loop {
-                    let st = self.pe_mut(parts, pe);
-                    if st.parked.is_empty() {
-                        break;
-                    }
-                    if st.busy_until > t {
-                        if !st.parked_wake {
-                            st.parked_wake = true;
-                            let at = st.busy_until;
-                            let k = EvKey::flat(at, self.ord);
-                            self.ord += 1;
-                            self.serial.push(k, Event::ParkedWake(pe));
-                        }
-                        break;
-                    }
-                    let mev = st.parked.pop_front().expect("non-empty");
-                    self.with_layer(parts, t, None, |layer, ctx| layer.on_event(ctx, pe, mev));
-                }
-            }
-            Event::Cmd(pe, cmd) => {
-                let cur = Some(self.pe_part[pe as usize]);
-                self.with_layer(parts, t, cur, |layer, ctx| match cmd {
-                    Cmd::Send { dst, msg } => layer.sync_send(ctx, pe, dst, msg),
-                    Cmd::CreatePersistent {
-                        dst,
-                        max_bytes,
-                        handle,
-                    } => layer.create_persistent(ctx, pe, dst, max_bytes, handle),
-                    Cmd::SendPersistent { handle, dst, msg } => {
-                        layer.send_persistent(ctx, handle, pe, dst, msg)
-                    }
-                });
-            }
-            Event::PeRun(_) | Event::Deliver(..) => {
-                unreachable!("PE-local events live in partition queues")
-            }
-            Event::NodeLife(..) | Event::FtRecover(_) => {
-                unreachable!("node-crash plans force the sequential engine")
-            }
-        }
-    }
-
-    fn with_layer(
-        &mut self,
-        parts: &mut [PartData],
-        t: Time,
-        cur_part: Option<u32>,
-        f: impl FnOnce(&mut dyn MachineLayer, &mut MachineCtx),
-    ) {
-        // panic-ok: reentrancy guard — with_layer never nests
-        let mut layer = self.layer.take().expect("machine layer reentrancy");
-        {
-            let mut ctx = MachineCtx {
-                now: t,
-                cfg: self.cfg,
-                back: McBack::Par {
-                    parts,
-                    pe_part: self.pe_part,
-                    serial: &mut self.serial,
-                    ord: &mut self.ord,
-                    cur_part,
-                    lookahead: self.lookahead,
-                },
-                trace: &mut *self.trace,
-                stats: &mut *self.stats,
-            };
-            f(layer.as_mut(), &mut ctx);
-        }
-        *self.layer = Some(layer);
-    }
-
-    /// Apply buffered window effects. Every destination is either
-    /// per-partition-order sensitive at most per PE (the trace: per-PE
-    /// accumulators, per-PE pending segments, and a log that consumers
-    /// stable-sort by `(pe, start)`) or commutative (stats sums, the `now`
-    /// running max), so replaying each partition's stream sequentially is
-    /// observation-equivalent to the canonical k-way merge — without the
-    /// per-record comparisons. (The one global-order consumer, a streaming
-    /// trace sink, forces the sequential engine in `run_parallel`.)
-    ///
-    /// Leaves `fx`/`origins` in place: `flatten` still needs them to order
-    /// surviving in-phase keys.
-    fn replay_fx(&mut self, parts: &mut [PartData]) {
-        for p in parts.iter() {
-            for rec in &p.fx {
-                self.stats.add(&rec.stats);
-            }
-            for op in &p.trace_ops {
-                self.trace.apply(op);
-            }
-            if let Some(rec) = p.fx.last() {
-                // Partition streams are time-sorted: the last record holds
-                // the partition's furthest virtual time.
-                self.now = self.now.max(rec.key.t);
-            }
-        }
-    }
-
-    /// Re-key every pending event (including buffered commands) with fresh
-    /// flat ordinals in canonical order, so in-phase keys — meaningless
-    /// without this phase's `origins`/`fx` logs — never outlive their
-    /// phase. Clears the phase logs afterwards.
-    fn flatten(&mut self, parts: &mut [PartData]) {
-        let epoch = parts.first().map_or(0, |p| p.epoch);
-        let mut all: Vec<(usize, EvKey, Event)> = Vec::new();
-        for (k, ev) in self.serial.drain_sorted() {
-            all.push((SER, k, ev));
-        }
-        for (i, p) in parts.iter_mut().enumerate() {
-            for (k, ev) in p.q.drain_sorted() {
-                all.push((i, k, ev));
-            }
-            for (k, ev) in p.cmds.drain(..) {
-                all.push((i, k, ev));
-            }
-        }
-        all.sort_by(|a, b| canon_cmp(parts, epoch, a.0, a.1, b.0, b.1).then_with(|| a.0.cmp(&b.0)));
-        for (_, k, ev) in all {
-            let nk = EvKey::flat(k.t, self.ord);
-            self.ord += 1;
-            match &ev {
-                Event::PeRun(pe) | Event::Deliver(pe, _) => {
-                    parts[self.pe_part[*pe as usize] as usize].q.push(nk, ev)
-                }
-                _ => self.serial.push(nk, ev),
-            }
-        }
-        for p in parts.iter_mut() {
-            p.fx.clear();
-            p.origins.clear();
-            p.trace_ops.clear();
-        }
-    }
-
-    /// A window batch discovered a stop; `kstar` (in partition `pstar`) is
-    /// its canonical key. Events canonically after it are dead (the
-    /// sequential engine never reaches them — their buffered effects are
-    /// discarded, and unexecuted ones become post-run leftovers only if
-    /// the sequential engine would also have left them queued); events
-    /// before it that other partitions had not yet processed (windows may
-    /// end early on Cmd bounds, frontiers or the event cap) are executed
-    /// here, interleaved with the buffered effect replay in one canonical
-    /// key-ordered pass.
-    fn finish_stop(&mut self, parts: &mut [PartData], pstar: usize, kstar: EvKey) {
-        use std::cmp::Ordering as O;
-        let epoch = parts.first().map_or(0, |p| p.epoch);
-        // Unexecuted phase work (partition queues + buffered commands):
-        // keep what lies canonically below the stop, in canonical order.
-        // Draining the queues up front also means that from here on the
-        // partition heaps only ever hold *fresh* flat keys pushed by the
-        // drain itself, whose plain heap order is exact.
-        let mut pending: Vec<(usize, EvKey, Event)> = Vec::new();
-        for (i, p) in parts.iter_mut().enumerate() {
-            for (k, ev) in p.q.drain_sorted() {
-                pending.push((i, k, ev));
-            }
-            for (k, ev) in p.cmds.drain(..) {
-                pending.push((i, k, ev));
-            }
-        }
-        pending.retain(|(pi, k, _)| canon_cmp(parts, epoch, *pi, *k, pstar, kstar) == O::Less);
-        pending.sort_by(|a, b| {
-            canon_cmp(parts, epoch, a.0, a.1, b.0, b.1).then_with(|| a.0.cmp(&b.0))
-        });
-        let mut pending = pending.into_iter().peekable();
-
-        enum Pick {
-            Fx(usize),
-            Pend,
-            Serial,
-            PartQ(usize),
-        }
-        let kstar_ck = CKey {
-            phase: true,
-            part: pstar,
-            k: kstar,
-        };
-        let n = parts.len();
-        let mut fi = vec![0usize; n];
-        let mut ti = vec![0usize; n];
-        let mut early = false;
-        loop {
-            // Discard effect records canonically past the stop (executed
-            // too far; the partition state they mutated is unobservable —
-            // the run ends at the stop). Streams are canonically sorted,
-            // so these form a suffix.
-            for i in 0..n {
-                while fi[i] < parts[i].fx.len() {
-                    let k = parts[i].fx[fi[i]].key;
-                    if canon_cmp(parts, epoch, i, k, pstar, kstar) == O::Greater {
-                        ti[i] += parts[i].fx[fi[i]].trace_n as usize;
-                        fi[i] += 1;
-                    } else {
-                        break;
-                    }
-                }
-            }
-            // Canonical-min candidate across the four sources.
-            let mut best: Option<(CKey, Pick)> = None;
-            for i in 0..n {
-                if fi[i] < parts[i].fx.len() {
-                    let c = CKey {
-                        phase: true,
-                        part: i,
-                        k: parts[i].fx[fi[i]].key,
-                    };
-                    if best
-                        .as_ref()
-                        .is_none_or(|(b, _)| ckey_cmp(parts, epoch, c, *b) == O::Less)
-                    {
-                        best = Some((c, Pick::Fx(i)));
-                    }
-                }
-            }
-            if let Some((pi, k, _)) = pending.peek() {
-                let c = CKey {
-                    phase: true,
-                    part: *pi,
-                    k: *k,
-                };
-                if best
-                    .as_ref()
-                    .is_none_or(|(b, _)| ckey_cmp(parts, epoch, c, *b) == O::Less)
-                {
-                    best = Some((c, Pick::Pend));
-                }
-            }
-            if let Some(k) = self.serial.peek_key() {
-                let c = CKey {
-                    phase: k.ord < epoch,
-                    part: SER,
-                    k: *k,
-                };
-                if best
-                    .as_ref()
-                    .is_none_or(|(b, _)| ckey_cmp(parts, epoch, c, *b) == O::Less)
-                {
-                    best = Some((c, Pick::Serial));
-                }
-            }
-            for i in 0..n {
-                if let Some(k) = parts[i].q.peek_key() {
-                    let c = CKey {
-                        phase: false,
-                        part: i,
-                        k: *k,
-                    };
-                    if best
-                        .as_ref()
-                        .is_none_or(|(b, _)| ckey_cmp(parts, epoch, c, *b) == O::Less)
-                    {
-                        best = Some((c, Pick::PartQ(i)));
-                    }
-                }
-            }
-            let Some((ck, pick)) = best else { break };
-            if ckey_cmp(parts, epoch, ck, kstar_ck) == O::Greater {
-                // Nothing before the stop remains (while the stop's own
-                // effect record is unapplied it bounds every pick, so this
-                // cannot skip it). What's left stays queued as leftovers.
-                break;
-            }
-            match pick {
-                Pick::Fx(b) => {
-                    let rec = &parts[b].fx[fi[b]];
-                    self.now = self.now.max(rec.key.t);
-                    self.stats.add(&rec.stats);
-                    for k in 0..rec.trace_n as usize {
-                        self.trace.apply(&parts[b].trace_ops[ti[b] + k]);
-                    }
-                    ti[b] += rec.trace_n as usize;
-                    let stop_here = rec.stop;
-                    fi[b] += 1;
-                    if stop_here {
-                        break; // kstar itself: the run ends here.
-                    }
-                }
-                Pick::Pend => {
-                    let (_, k, ev) = pending.next().expect("peeked");
-                    self.now = self.now.max(k.t);
-                    match &ev {
-                        Event::PeRun(pe) | Event::Deliver(pe, _) => {
-                            let pi = self.pe_part[*pe as usize] as usize;
-                            self.exec_inline(&mut parts[pi], k.t, ev);
-                        }
-                        _ => self.exec_serial(parts, k.t, ev),
-                    }
-                }
-                Pick::Serial => {
-                    let (k, ev) = self.serial.pop().expect("peeked");
-                    self.now = self.now.max(k.t);
-                    self.exec_serial(parts, k.t, ev);
-                }
-                Pick::PartQ(i) => {
-                    let (k, ev) = parts[i].q.pop().expect("peeked");
-                    self.now = self.now.max(k.t);
-                    self.exec_inline(&mut parts[i], k.t, ev);
-                }
-            }
-            if self.stopped {
-                // An earlier event also stopped: it wins outright.
-                early = true;
-                break;
-            }
-        }
-        if !early {
-            self.now = self.now.max(kstar.t);
-            self.stopped = true;
-        }
-        // Everything still queued mirrors what the sequential engine
-        // leaves behind on an early stop; hand it to the teardown in
-        // canonical order (the keys die with this phase's logs).
-        let mut left: Vec<(CKey, Event)> = Vec::new();
-        for (pi, k, ev) in pending {
-            left.push((
-                CKey {
-                    phase: true,
-                    part: pi,
-                    k,
-                },
-                ev,
-            ));
-        }
-        for (k, ev) in self.serial.drain_sorted() {
-            left.push((
-                CKey {
-                    phase: k.ord < epoch,
-                    part: SER,
-                    k,
-                },
-                ev,
-            ));
-        }
-        for (i, p) in parts.iter_mut().enumerate() {
-            for (k, ev) in p.q.drain_sorted() {
-                left.push((
-                    CKey {
-                        phase: false,
-                        part: i,
-                        k,
-                    },
-                    ev,
-                ));
-            }
-        }
-        left.sort_by(|a, b| ckey_cmp(parts, epoch, a.0, b.0).then_with(|| a.0.part.cmp(&b.0.part)));
-        self.leftovers = left.into_iter().map(|(c, ev)| (c.k.t, ev)).collect();
-        for p in parts.iter_mut() {
-            p.fx.clear();
-            p.origins.clear();
-            p.trace_ops.clear();
-        }
     }
 }
 
@@ -2350,8 +913,7 @@ pub struct PeCtx<'a> {
     pub(crate) qd_pe: &'a mut QdPe,
     qd_global: &'a mut Option<QdState>,
     system_handlers: &'a std::collections::HashSet<u16>,
-    /// FT subsystem state (None when FT is off — FT forces the sequential
-    /// engine, so parallel execution always sees None here).
+    /// FT subsystem state (None when FT is off).
     ft_global: &'a mut Option<FtCore>,
     /// Membership epoch stamped on every send from this handler.
     epoch: u32,
@@ -2480,8 +1042,7 @@ impl PeCtx<'_> {
     /// after this call on this PE are ordered behind the creation).
     pub fn create_persistent(&mut self, dst: PeId, max_bytes: u64) -> PersistentHandle {
         // Handles are per-PE namespaced so the value does not depend on the
-        // global interleaving of create calls (identical in run and
-        // run_parallel).
+        // global interleaving of create calls.
         let handle = PersistentHandle(((self.pe as u64) << 32) | *self.next_persistent);
         *self.next_persistent += 1;
         let at = self.now();
@@ -2686,6 +1247,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "parallel engine was removed")]
+    fn more_than_one_thread_is_rejected() {
+        let mut cfg = ClusterCfg::new(8, 4);
+        cfg.threads = 2;
+        Cluster::new(cfg, Box::new(IdealLayer::new(1000)));
+    }
+
+    #[test]
     fn deterministic_across_runs() {
         let run_once = || {
             let mut c = cluster(4);
@@ -2730,68 +1299,6 @@ mod tests {
         c.inject(0, 0, kick, Bytes::new());
         c.run();
         assert_eq!(c.user::<Vec<u16>>(0), &vec![5, 5, 100, 900]);
-    }
-
-    /// Random fan-out traffic over 4 nodes, run at a given thread count.
-    /// Returns everything the parallel engine must reproduce bit for bit.
-    fn fanout_run(threads: u32, stop_at: Option<u64>) -> (RunReport, Time, Time, u64, String) {
-        let mut cfg = ClusterCfg::new(16, 4);
-        cfg.threads = threads;
-        let mut c = Cluster::new(cfg, Box::new(IdealLayer::new(1000)));
-        c.enable_trace_log();
-        let h = c.register_handler(move |ctx, env| {
-            let n = wire::unpack_u64(&env.payload, 0);
-            ctx.charge(300 + (n % 7) * 40);
-            if stop_at == Some(n) {
-                ctx.stop();
-                return;
-            }
-            if n > 0 {
-                let dst = ctx.rng().below(16) as u32;
-                ctx.send(dst, env.handler, wire::pack_u64s(&[n - 1]));
-                if n.is_multiple_of(3) {
-                    let dst2 = ctx.rng().below(16) as u32;
-                    ctx.send(dst2, env.handler, wire::pack_u64s(&[n / 2]));
-                }
-            }
-        });
-        for pe in 0..16 {
-            c.inject(0, pe, h, wire::pack_u64s(&[24 + pe as u64]));
-        }
-        let r = c.run();
-        (
-            r,
-            c.trace().total_busy(),
-            c.trace().total_overhead(),
-            c.trace().total_msgs(),
-            c.trace().export_log(),
-        )
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let seq = fanout_run(1, None);
-        for threads in [2, 4, 8] {
-            let par = fanout_run(threads, None);
-            assert_eq!(seq.0.end_time, par.0.end_time, "threads={threads}");
-            assert_eq!(seq.0.stats, par.0.stats, "threads={threads}");
-            assert_eq!(seq.1, par.1, "busy, threads={threads}");
-            assert_eq!(seq.2, par.2, "overhead, threads={threads}");
-            assert_eq!(seq.3, par.3, "msgs, threads={threads}");
-            assert_eq!(seq.4, par.4, "trace log, threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_with_stop() {
-        let seq = fanout_run(1, Some(5));
-        assert!(seq.0.stopped_early);
-        for threads in [2, 4] {
-            let par = fanout_run(threads, Some(5));
-            assert_eq!(seq.0.end_time, par.0.end_time, "threads={threads}");
-            assert_eq!(seq.0.stats, par.0.stats, "threads={threads}");
-            assert_eq!(seq.4, par.4, "trace log, threads={threads}");
-        }
     }
 
     #[test]

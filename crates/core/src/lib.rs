@@ -58,12 +58,7 @@ pub mod trace;
 pub mod prelude {
     pub use crate::am::{AmConfig, AmData, AmId};
     pub use crate::charm::{ArrayId, EntryId, RedOp, CHARM_HANDLER};
-    pub use crate::cluster::{
-        default_batch_windows, default_handoff_min_events, default_threads,
-        set_default_batch_windows, set_default_handoff_min_events, set_default_threads,
-        set_default_threads_forced, take_sync_overhead_ns, Cluster, ClusterCfg, ClusterStats,
-        MachineCtx, PeCtx, RunReport,
-    };
+    pub use crate::cluster::{Cluster, ClusterCfg, ClusterStats, MachineCtx, PeCtx, RunReport};
     pub use crate::ft::{Checkpoint, FtConfig, FtReport};
     pub use crate::ideal::IdealLayer;
     pub use crate::lrts::{MachineLayer, PersistentHandle};

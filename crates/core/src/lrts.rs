@@ -53,11 +53,10 @@ pub trait MachineLayer {
     /// PE is free, modeling progress made between handler executions.
     fn on_event(&mut self, ctx: &mut MachineCtx, pe: PeId, ev: Box<dyn Any + Send>);
 
-    /// Conservative lookahead (ns) for parallel execution: a lower bound on
-    /// the virtual latency of any cross-node interaction this layer can
-    /// produce. The parallel driver sizes its bounded time windows with
-    /// this; correctness never depends on it (the serial phase orders all
-    /// layer work canonically), so a conservative 1 is always safe.
+    /// The layer's minimum cross-node latency (ns): a lower bound on the
+    /// virtual delay between issuing any cross-node interaction and its
+    /// first effect on the remote node. Descriptive only — the sequential
+    /// engine never consults it — so 1 is always a valid answer.
     fn lookahead(&self) -> sim_core::Time {
         1
     }

@@ -82,36 +82,6 @@ impl PeTable {
     pub(crate) fn materialized_pages(&self) -> usize {
         self.pages.iter().filter(|p| p.is_some()).count()
     }
-
-    /// Materialize everything and hand out the dense state vector (the
-    /// parallel engine partitions PE state by ownership). The table is
-    /// left empty; [`PeTable::restore_dense`] puts the states back.
-    pub(crate) fn take_dense(&mut self) -> Vec<PeState> {
-        let mut out = Vec::with_capacity(self.len);
-        for pi in 0..self.pages.len() {
-            let base = pi * PE_PAGE_LEN;
-            let used = PE_PAGE_LEN.min(self.len - base);
-            match self.pages[pi].take() {
-                Some(page) => out.extend(page.into_vec()),
-                None => out.extend((0..used).map(|i| PeState::fresh(self.seed, (base + i) as u64))),
-            }
-        }
-        out
-    }
-
-    /// Re-adopt a dense state vector from [`PeTable::take_dense`]
-    /// (everything stays materialized — the states carry live queues).
-    pub(crate) fn restore_dense(&mut self, pes: Vec<PeState>) {
-        // panic-ok: a short dense vector is a driver bug, not a runtime fault
-        assert_eq!(pes.len(), self.len, "dense PE vector length mismatch");
-        let mut it = pes.into_iter();
-        for pi in 0..self.pages.len() {
-            let base = pi * PE_PAGE_LEN;
-            let used = PE_PAGE_LEN.min(self.len - base);
-            let page: Vec<PeState> = it.by_ref().take(used).collect();
-            self.pages[pi] = Some(page.into_boxed_slice());
-        }
-    }
 }
 
 #[cfg(test)]
@@ -137,22 +107,6 @@ mod tests {
         // Page neighbors are fresh, other pages stay cold.
         assert_eq!(t.get(4_001).busy_until, 0);
         assert_eq!(t.materialized_pages(), 1);
-    }
-
-    #[test]
-    fn dense_round_trip_preserves_state() {
-        let mut t = PeTable::new(130, 9);
-        t.get_mut(7).busy_until = 70;
-        t.get_mut(128).busy_until = 1280;
-        let dense = t.take_dense();
-        assert_eq!(dense.len(), 130);
-        assert_eq!(dense[7].busy_until, 70);
-        assert_eq!(dense[128].busy_until, 1280);
-        assert_eq!(dense[64].busy_until, 0);
-        t.restore_dense(dense);
-        assert_eq!(t.get(7).busy_until, 70);
-        assert_eq!(t.get(128).busy_until, 1280);
-        assert_eq!(t.materialized_pages(), 130usize.div_ceil(PE_PAGE_LEN));
     }
 
     #[test]

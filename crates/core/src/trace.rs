@@ -37,18 +37,6 @@ struct Acc {
     ckpt: Time,
 }
 
-/// One buffered trace mutation from a parallel-phase event execution
-/// (see `cluster.rs`). Workers cannot touch the shared [`Trace`], so they
-/// record these and the driver replays them in canonical event order at
-/// the window barrier — reproducing the exact `record`/`count_msg` call
-/// sequence of the sequential engine (which the per-PE pending-segment
-/// buffering and the raw log depend on).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum TraceOp {
-    Record(PeId, Time, Time, Kind),
-    CountMsg(PeId),
-}
-
 /// One row of a rendered time profile.
 #[derive(Debug, Clone, Copy)]
 pub struct ProfileRow {
@@ -166,15 +154,6 @@ impl Trace {
         self.sink = Some(LogSink(w));
     }
 
-    /// Whether a streaming sink is attached. The sink is the one trace
-    /// consumer that observes the *global* record order (it writes bytes
-    /// as records happen), so the parallel engine — which replays trace
-    /// effects per partition — falls back to sequential execution while
-    /// one is set.
-    pub fn has_sink(&self) -> bool {
-        self.sink.is_some()
-    }
-
     /// Flush and drop the streaming sink, returning whether one was set.
     pub fn finish_stream(&mut self) -> bool {
         match self.sink.take() {
@@ -187,7 +166,6 @@ impl Trace {
     }
 
     /// Record `dur` ns of `kind` work on `pe` starting at `start`.
-    // serial-only: appends to the shared timeline
     pub fn record(&mut self, pe: PeId, start: Time, dur: Time, kind: Kind) {
         if dur == 0 {
             return;
@@ -251,14 +229,6 @@ impl Trace {
 
     pub fn count_msg(&mut self, pe: PeId) {
         *self.msgs.get_mut(pe as usize) += 1;
-    }
-
-    /// Replay one buffered [`TraceOp`].
-    pub(crate) fn apply(&mut self, op: &TraceOp) {
-        match *op {
-            TraceOp::Record(pe, start, dur, kind) => self.record(pe, start, dur, kind),
-            TraceOp::CountMsg(pe) => self.count_msg(pe),
-        }
     }
 
     pub fn num_pes(&self) -> u32 {

@@ -1059,7 +1059,7 @@ impl MachineLayer for UgniLayer {
     }
 
     fn lookahead(&self) -> Time {
-        self.cfg.params.conservative_lookahead()
+        self.cfg.params.min_remote_latency()
     }
 
     fn init(&mut self, ctx: &mut MachineCtx) {

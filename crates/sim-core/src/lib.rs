@@ -8,6 +8,11 @@
 //! experiment is reproducible, and the statistics helpers ([`stats`]) the
 //! benchmark harness uses to report the paper's tables and figures.
 //!
+//! Everything here is single-threaded: the runtime driver built on this
+//! kernel has one sequential event loop (DESIGN.md §10), and host
+//! parallelism, where wanted, comes from running independent simulations
+//! side by side.
+//!
 //! # Quick example
 //!
 //! ```
@@ -21,11 +26,9 @@
 //! ```
 
 pub mod lazy;
-pub mod parallel;
 pub mod queue;
 pub mod rng;
 pub mod stats;
-pub mod sync;
 pub mod time;
 
 pub use lazy::{LazySlab, LazyVec};

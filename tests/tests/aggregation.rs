@@ -1,7 +1,8 @@
 //! Destination-batched AM aggregation acceptance (ISSUE 10): coalescing
 //! is a *timing* optimization and must never be an observable one beyond
-//! timing. Aggregated runs must bit-replay, agree with the sequential
-//! engine at every thread count, survive an active fault plan with
+//! timing. Aggregated runs must bit-replay, including under an active
+//! fault plan and when driven from parallel host threads, survive that
+//! plan with
 //! exactly-once delivery per *constituent* AM (not per batch envelope),
 //! recover through a node crash without losing or doubling a constituent,
 //! and produce identical application results at every flush threshold.
@@ -12,27 +13,6 @@ use charm_apps::LayerKind;
 use charm_rt::prelude::*;
 use gemini_net::{FaultPlan, LinkDownWindow, NodeCrashWindow};
 use proptest::prelude::*;
-
-/// Parallel thread counts; `CHARM_TEST_THREADS=N` (CI's matrix legs)
-/// narrows the sweep to one count.
-fn thread_counts() -> Vec<u32> {
-    match std::env::var("CHARM_TEST_THREADS") {
-        Ok(v) => vec![v.parse().expect("CHARM_TEST_THREADS must be a number")],
-        Err(_) => vec![2, 4],
-    }
-}
-
-fn differential<R>(f: impl Fn() -> R, check: impl Fn(&R, &R, u32)) {
-    set_default_handoff_min_events(0);
-    set_default_threads_forced(1);
-    let seq = f();
-    for t in thread_counts() {
-        set_default_threads_forced(t);
-        let par = f();
-        set_default_threads_forced(1);
-        check(&seq, &par, t);
-    }
-}
 
 fn assert_reports_eq(a: &RunReport, b: &RunReport, ctx: &str) {
     assert_eq!(a.end_time, b.end_time, "{ctx}: virtual end time drifted");
@@ -118,37 +98,41 @@ fn aggregated_runs_are_bit_replayable() {
     let b = kneighbor_fine_report(&LayerKind::ugni(), 8, 4, 2, 8, 10, true);
     assert_eq!(a.0.to_bits(), b.0.to_bits(), "iteration time drifted");
     assert_reports_eq(&a.1, &b.1, "aggregated double-run");
+    assert!(a.1.stats.am_batches > 0, "nothing aggregated");
 }
 
 #[test]
 fn aggregated_identical_across_parallel_threads() {
-    differential(
-        || kneighbor_fine_report(&LayerKind::ugni(), 8, 4, 2, 8, 10, true),
-        |a, b, t| {
-            let ctx = format!("aggregated kneighbor_fine threads={t}");
-            assert_eq!(a.0.to_bits(), b.0.to_bits(), "{ctx}: iteration time");
-            assert_reports_eq(&a.1, &b.1, &ctx);
-            assert!(a.1.stats.am_batches > 0, "{ctx}: nothing aggregated");
-        },
-    );
+    // The simulator holds no process-wide or thread-local state: the same
+    // aggregated run driven from several host threads side by side must
+    // equal the run on the test's own thread to the bit.
+    let run = || kneighbor_fine_report(&LayerKind::ugni(), 8, 4, 2, 8, 10, true);
+    let seq = run();
+    assert!(seq.1.stats.am_batches > 0, "nothing aggregated");
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2).map(|_| s.spawn(run)).collect();
+        for (t, h) in handles.into_iter().enumerate() {
+            let par = h.join().expect("simulation thread panicked");
+            let ctx = format!("aggregated kneighbor_fine on host thread {t}");
+            assert_eq!(seq.0.to_bits(), par.0.to_bits(), "{ctx}: iteration time");
+            assert_reports_eq(&seq.1, &par.1, &ctx);
+        }
+    });
 }
 
 #[test]
-fn aggregated_identical_across_threads_under_active_fault_plan() {
+fn aggregated_runs_are_bit_replayable_under_active_fault_plan() {
     // Drops and corruption force SMSG retransmits of whole batch
     // envelopes; the link-down window reroutes them. Exactly-once per
     // constituent (the internal `st.done` assert needs every data AM and
-    // every ack exactly once) must hold at every thread count, bit-equal
-    // to the sequential engine.
+    // every ack exactly once) must hold, and the faulty run must repeat
+    // bit for bit.
     let layer = LayerKind::ugni().with_fault(plan());
-    differential(
-        || kneighbor_fine_report(&layer, 8, 4, 2, 8, 10, true),
-        |a, b, t| {
-            let ctx = format!("aggregated faulty kneighbor_fine threads={t}");
-            assert_eq!(a.0.to_bits(), b.0.to_bits(), "{ctx}: iteration time");
-            assert_reports_eq(&a.1, &b.1, &ctx);
-        },
-    );
+    let a = kneighbor_fine_report(&layer, 8, 4, 2, 8, 10, true);
+    let b = kneighbor_fine_report(&layer, 8, 4, 2, 8, 10, true);
+    let ctx = "aggregated faulty kneighbor_fine double-run";
+    assert_eq!(a.0.to_bits(), b.0.to_bits(), "{ctx}: iteration time");
+    assert_reports_eq(&a.1, &b.1, ctx);
 }
 
 #[test]

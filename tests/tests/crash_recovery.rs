@@ -2,15 +2,13 @@
 //! the heartbeat detector declares it, buddy checkpoints restore it, and
 //! the application finishes with *bitwise-identical results* to the
 //! fault-free run — recovery may cost virtual time, never correctness.
-//! Every crash run must also be bit-replayable, and the parallel driver
-//! must agree with the sequential engine to the bit.
+//! Every crash run must also be bit-replayable, also when driven from
+//! parallel host threads.
 
 use charm_apps::jacobi2d::{run_jacobi, run_jacobi_ft, JacobiConfig, JacobiResult};
 use charm_apps::pingpong::run_pingpong_ft;
 use charm_apps::LayerKind;
-use charm_rt::prelude::{
-    set_default_handoff_min_events, set_default_threads_forced, FtConfig, FtReport,
-};
+use charm_rt::prelude::{FtConfig, FtReport};
 use gemini_net::{FaultPlan, LinkDownWindow, NodeCrashWindow};
 
 /// One node-1 crash at 80us. `restart_after` picks between restart-in-
@@ -92,36 +90,28 @@ fn crash_runs_are_bit_replayable() {
         assert_eq!(a.events, b.events, "restart={restart:?}");
         assert_eq!(a.grid, b.grid, "restart={restart:?}");
         assert_eq!((fa.ckpts, fa.recoveries), (fb.ckpts, fb.recoveries));
-    }
-}
-
-/// Thread counts for the parallel leg; `CHARM_TEST_THREADS=N` (CI's
-/// matrix legs) narrows the sweep to one count.
-fn thread_counts() -> Vec<u32> {
-    match std::env::var("CHARM_TEST_THREADS") {
-        Ok(v) => vec![v.parse().expect("CHARM_TEST_THREADS must be a number")],
-        Err(_) => vec![2, 4],
+        assert_eq!(fa, fb, "restart={restart:?}: FT report");
     }
 }
 
 #[test]
 fn crash_identical_under_parallel_driver_threads() {
-    // The parallel driver forces crash-window runs through the serial
-    // engine (node death is a global membership edge, not a per-partition
-    // event), so any thread count must reproduce the sequential run to
-    // the bit.
-    set_default_handoff_min_events(0);
-    set_default_threads_forced(1);
-    let (seq, seq_ft) = crashed_jacobi(Some(40_000));
-    for threads in thread_counts() {
-        set_default_threads_forced(threads);
-        let (par, par_ft) = crashed_jacobi(Some(40_000));
-        set_default_threads_forced(1);
-        assert_eq!(seq.time_ns, par.time_ns, "threads={threads}");
-        assert_eq!(seq.events, par.events, "threads={threads}");
-        assert_eq!(seq.grid, par.grid, "threads={threads}");
-        assert_eq!(seq_ft, par_ft, "threads={threads}");
-    }
+    // Node death, detection and buddy restore are all virtual-time events
+    // of one cluster: crash runs driven from several host threads side by
+    // side must reproduce the run on the test's own thread to the bit.
+    let seq = crashed_jacobi(Some(40_000));
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| s.spawn(|| crashed_jacobi(Some(40_000))))
+            .collect();
+        for (t, h) in handles.into_iter().enumerate() {
+            let (par, par_ft) = h.join().expect("simulation thread panicked");
+            assert_eq!(seq.0.time_ns, par.time_ns, "host thread {t}");
+            assert_eq!(seq.0.events, par.events, "host thread {t}");
+            assert_eq!(seq.0.grid, par.grid, "host thread {t}");
+            assert_eq!(seq.1, par_ft, "host thread {t}");
+        }
+    });
 }
 
 #[test]

@@ -1,15 +1,15 @@
 // Fixture for the busy-wait arm of `thread-outside-parallel`:
-// hand-rolled spinning in a simulation crate outside the sync layer.
+// hand-rolled spinning in a simulation crate.
 // Never compiled.
 
 pub fn poll_until_ready(&self) {
     while !self.ready() {
-        std::hint::spin_loop(); // FIRES: busy-wait outside the sync layer
+        std::hint::spin_loop(); // FIRES: busy-wait in a sim crate
     }
 }
 
 pub fn be_polite(&self) {
-    thread::yield_now(); // FIRES: scheduler yield outside the sync layer
+    thread::yield_now(); // FIRES: scheduler yield in a sim crate
 }
 
 pub fn backoff(&self) {

@@ -1,14 +1,14 @@
 // Fixture for the `thread-outside-parallel` rule: ad-hoc concurrency in
-// a simulation crate outside the parallel driver. Never compiled.
+// a simulation crate. Never compiled.
 
 pub fn run_async(&mut self) {
-    let h = std::thread::spawn(|| poll_loop()); // FIRES: spawn outside driver
+    let h = std::thread::spawn(|| poll_loop()); // FIRES: spawn in a sim crate
     self.workers.push(h);
 }
 
 pub struct Shared {
-    inner: Mutex<State>,       // FIRES: lock outside driver
-    seq: AtomicU64,            // FIRES: atomic outside driver
+    inner: Mutex<State>,       // FIRES: lock in a sim crate
+    seq: AtomicU64,            // FIRES: atomic in a sim crate
     gate: Barrier,             // FIRES
 }
 

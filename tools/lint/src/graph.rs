@@ -3,13 +3,13 @@
 //!
 //! The lexical rules in the crate root look at one function at a time;
 //! the invariants that actually carry the runtime's determinism story are
-//! *transitive* — a parallel-window worker is pure only if everything it
-//! can reach is pure, a recovery path is abort-free only if every helper
-//! it calls is. This module parses every `fn`/`impl`/`trait` in the
-//! scanned crates with the same hand-rolled lexer (offline build, no
-//! `syn`), resolves calls with a conservative name+receiver heuristic,
-//! and runs reachability rules that print a witness call chain with each
-//! finding.
+//! *transitive* — a recovery path is abort-free only if every helper it
+//! calls is, and a machine-layer send is charged only if some function on
+//! its call path records the cost. This module parses every
+//! `fn`/`impl`/`trait` in the scanned crates with the same hand-rolled
+//! lexer (offline build, no `syn`), resolves calls with a conservative
+//! name+receiver heuristic, and runs reachability rules that print a
+//! witness call chain with each finding.
 //!
 //! Resolution heuristic (soundness-for-precision trade, DESIGN.md §12):
 //!
@@ -26,39 +26,16 @@
 //! Calls into code outside the scanned crates (std, vendored bytes,
 //! apps) resolve to nothing and end the walk — the rules are about
 //! workspace-defined behavior. Dynamic calls through `dyn Fn` handler
-//! objects are invisible to name resolution; the handler side of the
-//! worker is covered by rooting `worker-purity` at every `PeCtx` method
-//! (the only capability surface handlers receive), at the typed-AM batch
-//! dispatcher `am_dispatch`, and at every named fn registered as a
-//! typed-AM handler at a `register_am(...)` call site.
+//! objects are invisible to name resolution.
 
 use crate::{
-    boundary_match, find_fn_kw, is_ident_char, is_parallel_driver_file, name_has_keyword, sanitize,
-    test_ranges, Finding, PANIC_OK_MARKER, RECOVERY_KEYWORDS, THREAD_PATTERNS,
+    boundary_match, find_fn_kw, is_ident_char, name_has_keyword, sanitize, test_ranges, Finding,
+    PANIC_OK_MARKER, RECOVERY_KEYWORDS,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// Marker on (or immediately above) a `fn` declaration: this function
-/// must only run in the serial phase of the windowed driver; the
-/// `worker-purity` rule forbids reaching it from a worker.
-pub const SERIAL_ONLY_MARKER: &str = "serial-only:";
-
-/// Line escape for `worker-purity` findings.
-pub const WORKER_OK_MARKER: &str = "worker-ok:";
-
 /// Line escape for `charge-coverage` findings.
 pub const CHARGE_OK_MARKER: &str = "charge-ok:";
-
-/// Worker entry points by function name: the functions that execute
-/// `PeRun`/`Deliver` events inside a parallel window, plus the typed-AM
-/// batch dispatcher — it is registered as a `dyn Fn` Converse handler
-/// (invisible to name resolution) but runs on workers, walking batch
-/// envelopes and invoking every constituent's typed handler.
-const WORKER_ROOT_FNS: &[&str] = &["exec_local_event", "phase_run", "am_dispatch"];
-
-/// Worker entry points by receiver type: handlers run on workers and
-/// `PeCtx` is the entire capability surface they are handed.
-const WORKER_ROOT_TYPES: &[&str] = &["PeCtx"];
 
 /// The machine-layer trait whose impl methods are `charge-coverage`
 /// roots.
@@ -99,7 +76,6 @@ pub struct FnInfo {
     /// (trait-block defaults).
     pub trait_name: Option<String>,
     pub has_self: bool,
-    pub serial_only: bool,
     pub file: usize,
     /// 0-based span of the whole item, signature included.
     pub start: usize,
@@ -130,9 +106,6 @@ pub struct Graph {
     pub fns: Vec<FnInfo>,
     /// Indexed by fn id.
     pub calls: Vec<Vec<CallSite>>,
-    /// Names of `static` items (including `thread_local!` cells) declared
-    /// in the scanned crates.
-    pub statics: Vec<String>,
 }
 
 /// Impl/trait block context while scanning a file.
@@ -457,7 +430,6 @@ impl Graph {
     pub fn build(sources: &[(String, String, String)]) -> Graph {
         let mut files = Vec::new();
         let mut fns: Vec<FnInfo> = Vec::new();
-        let mut statics: BTreeSet<String> = BTreeSet::new();
         let mut fn_blocks: Vec<(usize, usize)> = Vec::new(); // (fn id, file)
 
         for (crate_dir, path, text) in sources {
@@ -468,28 +440,6 @@ impl Graph {
             let tests = test_ranges(&clean_refs);
             let file_id = files.len();
             let blocks = block_contexts(&clean);
-
-            // `static NAME` / `thread_local! { static NAME }` declarations.
-            for (i, line) in clean.iter().enumerate() {
-                if tests.iter().any(|&(a, b)| i >= a && i <= b) {
-                    continue;
-                }
-                let mut from = 0;
-                while let Some(p) = line[from..].find("static ") {
-                    let at = from + p;
-                    from = at + 7;
-                    let pre = line[..at].chars().next_back();
-                    if pre.is_some_and(|c| is_ident_char(c) || c == '\'') {
-                        continue; // `&'static str`
-                    }
-                    let rest = line[at + 7..].trim_start();
-                    let rest = rest.strip_prefix("mut ").unwrap_or(rest).trim_start();
-                    let name: String = rest.chars().take_while(|&c| is_ident_char(c)).collect();
-                    if !name.is_empty() && rest[name.len()..].trim_start().starts_with(':') {
-                        statics.insert(name);
-                    }
-                }
-            }
 
             // Functions.
             let mut i = 0;
@@ -536,16 +486,11 @@ impl Graph {
                 }
                 if !in_test && has_body {
                     let ctx = blocks.iter().find(|b| i > b.start && i <= b.end);
-                    let serial_only = raw
-                        .get(i.saturating_sub(1))
-                        .is_some_and(|l| l.contains(SERIAL_ONLY_MARKER))
-                        || raw.get(i).is_some_and(|l| l.contains(SERIAL_ONLY_MARKER));
                     fns.push(FnInfo {
                         name,
                         type_name: ctx.and_then(|c| c.type_name.clone()),
                         trait_name: ctx.and_then(|c| c.trait_name.clone()),
                         has_self: sig_has_self(&clean, i, pos),
-                        serial_only,
                         file: file_id,
                         start: i,
                         end,
@@ -673,12 +618,7 @@ impl Graph {
                 .collect();
         }
 
-        Graph {
-            files,
-            fns,
-            calls,
-            statics: statics.into_iter().collect(),
-        }
+        Graph { files, fns, calls }
     }
 
     /// First fn id with this (unqualified) name — test helper.
@@ -771,195 +711,6 @@ impl Graph {
 fn push_unique(out: &mut Vec<Finding>, seen: &mut BTreeSet<(String, usize)>, f: Finding) {
     if seen.insert((format!("{}\u{0}{}", f.rule, f.file), f.line)) {
         out.push(f);
-    }
-}
-
-/// Typed-AM handler roots: a named fn mentioned as a *value* inside a
-/// `register_am(...)` argument list is a handler body the batch dispatch
-/// walk runs on a worker, so it roots `worker-purity`. Only bare
-/// fn-value mentions count — an identifier not followed by `(` (that is
-/// a call, attributed to the registering fn) and not path- or
-/// field-qualified (`Type::f`, `x.f`). Closure registrations are covered
-/// separately through the `PeCtx` method roots.
-fn am_handler_roots(g: &Graph) -> Vec<usize> {
-    let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (id, f) in g.fns.iter().enumerate() {
-        by_name.entry(f.name.as_str()).or_default().push(id);
-    }
-    let mut roots = Vec::new();
-    for file in &g.files {
-        let lines: Vec<&str> = file.clean.iter().map(|s| s.as_str()).collect();
-        let tests = test_ranges(&lines);
-        for (i, line) in lines.iter().enumerate() {
-            let Some(pos) = line.find("register_am") else {
-                continue;
-            };
-            if tests.iter().any(|&(a, b)| i >= a && i <= b) {
-                continue;
-            }
-            // Collect the balanced `(...)` argument span (bounded — an
-            // unclosed paren in a fixture must not scan the whole file).
-            let mut span = String::new();
-            let mut depth = 0i32;
-            let mut opened = false;
-            let mut col = pos + "register_am".len();
-            let mut j = i;
-            'span: while j < lines.len() && j < i + 200 {
-                for c in lines[j][col.min(lines[j].len())..].chars() {
-                    match c {
-                        '(' => {
-                            depth += 1;
-                            opened = true;
-                        }
-                        ')' => {
-                            depth -= 1;
-                            if opened && depth <= 0 {
-                                break 'span;
-                            }
-                        }
-                        _ => {}
-                    }
-                    if opened {
-                        span.push(c);
-                    }
-                }
-                span.push(' ');
-                j += 1;
-                col = 0;
-            }
-            // Bare fn-value identifiers in the span become roots.
-            let chars: Vec<char> = span.chars().collect();
-            let mut k = 0;
-            while k < chars.len() {
-                if !is_ident_char(chars[k]) || chars[k].is_ascii_digit() {
-                    k += 1;
-                    continue;
-                }
-                let start = k;
-                while k < chars.len() && is_ident_char(chars[k]) {
-                    k += 1;
-                }
-                let tok: String = chars[start..k].iter().collect();
-                let before = chars[..start].iter().rev().find(|c| !c.is_whitespace());
-                let after = chars[k..].iter().find(|c| !c.is_whitespace());
-                if matches!(before, Some(':') | Some('.')) || matches!(after, Some('(') | Some(':'))
-                {
-                    continue;
-                }
-                if let Some(ids) = by_name.get(tok.as_str()) {
-                    roots.extend(ids.iter().copied());
-                }
-            }
-        }
-    }
-    roots
-}
-
-/// worker-purity: nothing reachable from a parallel-window worker entry
-/// point may touch statics or thread primitives, or call a fn marked
-/// `// serial-only:`. Escape: `// worker-ok: <why>` on the line.
-fn check_worker_purity(g: &Graph, out: &mut Vec<Finding>) {
-    let mut roots: Vec<usize> = g
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| {
-            WORKER_ROOT_FNS.contains(&f.name.as_str())
-                || f.type_name
-                    .as_deref()
-                    .is_some_and(|t| WORKER_ROOT_TYPES.contains(&t))
-        })
-        .map(|(id, _)| id)
-        .collect();
-    roots.extend(am_handler_roots(g));
-    roots.sort_unstable();
-    roots.dedup();
-    if roots.is_empty() {
-        return;
-    }
-    let parent = g.reach(&roots);
-    let mut seen = BTreeSet::new();
-    for &id in parent.keys() {
-        let f = &g.fns[id];
-        let file = &g.files[f.file];
-        let in_driver = is_parallel_driver_file(&file.path);
-
-        // Serial-only edges.
-        for site in &g.calls[id] {
-            let serial: Vec<usize> = site
-                .targets
-                .iter()
-                .copied()
-                .filter(|&t| g.fns[t].serial_only)
-                .collect();
-            if serial.is_empty() || g.escape_at(f.file, site.line, WORKER_OK_MARKER) {
-                continue;
-            }
-            let mut chain = g.chain(&parent, id);
-            chain.push(g.label(serial[0]));
-            let mut finding = Finding::new(
-                "worker-purity",
-                &file.path,
-                site.line + 1,
-                format!(
-                    "worker-reachable call to serial-only `{}` from `{}` — workers must \
-                     buffer effects in ExecOut, not apply them (or `// worker-ok: <why>`)",
-                    g.fns[serial[0]].qual_name(),
-                    f.name
-                ),
-            );
-            finding.chain = chain;
-            push_unique(out, &mut seen, finding);
-        }
-
-        // Thread primitives and statics, line by line. The parallel
-        // driver file is the sanctioned implementation of the pool and
-        // barrier — its internals are exempt from the primitive check
-        // (the lexical rule already confines these constructs to it).
-        for (off, line) in file.clean[f.start..=f.end.min(file.clean.len() - 1)]
-            .iter()
-            .enumerate()
-        {
-            let lineno = f.start + off;
-            if g.escape_at(f.file, lineno, WORKER_OK_MARKER) {
-                continue;
-            }
-            if !in_driver {
-                if let Some((pat, _)) = THREAD_PATTERNS
-                    .iter()
-                    .find(|(p, whole)| boundary_match(line, p, *whole))
-                {
-                    let mut finding = Finding::new(
-                        "worker-purity",
-                        &file.path,
-                        lineno + 1,
-                        format!(
-                            "thread primitive `{pat}` inside worker-reachable `{}` — \
-                             cross-thread state breaks window determinism \
-                             (or `// worker-ok: <why>`)",
-                            f.name
-                        ),
-                    );
-                    finding.chain = g.chain(&parent, id);
-                    push_unique(out, &mut seen, finding);
-                    continue;
-                }
-            }
-            if let Some(st) = g.statics.iter().find(|st| boundary_match(line, st, true)) {
-                let mut finding = Finding::new(
-                    "worker-purity",
-                    &file.path,
-                    lineno + 1,
-                    format!(
-                        "worker-reachable `{}` touches static `{st}` — shared mutable \
-                         state must stay on the serial phase (or `// worker-ok: <why>`)",
-                        f.name
-                    ),
-                );
-                finding.chain = g.chain(&parent, id);
-                push_unique(out, &mut seen, finding);
-            }
-        }
     }
 }
 
@@ -1111,7 +862,6 @@ fn check_charge_coverage(g: &Graph, out: &mut Vec<Finding>) {
 pub fn analyze(sources: &[(String, String, String)]) -> Vec<Finding> {
     let g = Graph::build(sources);
     let mut out = Vec::new();
-    check_worker_purity(&g, &mut out);
     check_recovery_panics(&g, &mut out);
     check_charge_coverage(&g, &mut out);
     out

@@ -12,8 +12,8 @@
 //!   time.
 //! * **Graph rules** ([`graph`]) parse every `fn`/`impl` in the workspace
 //!   into a call graph resolved by a conservative name+receiver heuristic
-//!   and check *transitive* properties — worker purity, recovery
-//!   panic-freedom, charge coverage — reporting witness call-chains.
+//!   and check *transitive* properties — recovery panic-freedom and
+//!   charge coverage — reporting witness call-chains.
 //!
 //! Lexical rules:
 //!
@@ -51,13 +51,13 @@
 //!   copy would silently defeat. Deliberate copies carry a
 //!   `// copy-ok: <why>` comment on the same line.
 //! * **thread-outside-parallel** — no `std::thread` / `std::sync`
-//!   concurrency (spawns, locks, atomics, channels) in the simulation
-//!   crates outside `sim-core/src/parallel.rs`. All parallelism flows
-//!   through the conservative windowed driver, whose determinism proof
-//!   depends on it being the *only* source of cross-thread interleaving.
-//!   Patterns match on identifier boundaries, so `SpinBarrier` or a
-//!   `BarrierStats` type never fires via `Barrier`. Deliberate uses
-//!   carry a `// thread-ok: <why>` comment on the line.
+//!   concurrency (spawns, locks, atomics, channels, spin loops) anywhere
+//!   in the simulation crates. The simulator has one sequential event
+//!   loop; host parallelism belongs to harnesses that run independent
+//!   simulations side by side, never inside one run. Patterns match on
+//!   identifier boundaries, so `SpinBarrier` or a `BarrierStats` type
+//!   never fires via `Barrier`. Deliberate uses carry a
+//!   `// thread-ok: <why>` comment on the line.
 //!
 //! `#[cfg(test)]` regions are exempt from all rules. The exemption is
 //! brace-accurate: it covers exactly the item (module, fn, impl) the
@@ -143,7 +143,7 @@ pub const TIME_OK_MARKER: &str = "time-ok:";
 pub const PANIC_OK_MARKER: &str = "panic-ok:";
 
 /// Threading/synchronization constructs banned in simulation crates
-/// outside the parallel driver (see `thread-outside-parallel`). The
+/// (see `thread-outside-parallel`). The
 /// `bool` is `true` when the pattern is a complete identifier that must
 /// match on both boundaries (`Barrier` must not fire inside
 /// `SpinBarrier` or `BarrierStats`); prefix patterns (`Atomic` covering
@@ -158,27 +158,14 @@ pub(crate) const THREAD_PATTERNS: &[(&str, bool)] = &[
     ("Barrier", true),
     ("mpsc", true),
     ("Atomic", false),
-    // Busy-wait primitives: hand-rolled spinning belongs in the adaptive
-    // barrier (sync.rs), nowhere else — an unbounded spin loop is exactly
-    // the oversubscription pathology the barrier exists to prevent.
+    // Busy-wait primitives: a spin loop only makes sense against another
+    // thread, and a simulated run has none.
     ("spin_loop", true),
     ("yield_now", true),
 ];
 
 /// Marker comment that exempts one line from `thread-outside-parallel`.
 pub const THREAD_OK_MARKER: &str = "thread-ok:";
-
-/// The files where threads, locks, atomics, and spin loops are
-/// legitimate: the conservative parallel driver and its sync layer (the
-/// adaptive barrier + persistent worker pool).
-pub const PARALLEL_DRIVER_FILES: &[&str] = &["sim-core/src/parallel.rs", "sim-core/src/sync.rs"];
-
-/// Whether `path` is one of the sanctioned concurrency files
-/// ([`PARALLEL_DRIVER_FILES`]).
-pub fn is_parallel_driver_file(path: &str) -> bool {
-    let p = path.replace('\\', "/");
-    PARALLEL_DRIVER_FILES.iter().any(|f| p.ends_with(f))
-}
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
@@ -725,31 +712,26 @@ pub fn lint_source(crate_dir: &str, file: &str, src: &str) -> Vec<Finding> {
     }
 
     if sim {
-        // thread-outside-parallel: the parallel driver and its sync layer
-        // are the sanctioned home for every one of these constructs.
-        if !is_parallel_driver_file(file) {
-            for (idx, line) in lines.iter().enumerate() {
-                if in_ranges(&tests, idx) || escaped(&raw_lines, idx, THREAD_OK_MARKER) {
-                    continue;
-                }
-                let Some((pat, _)) = THREAD_PATTERNS
-                    .iter()
-                    .find(|(p, whole)| boundary_match(line, p, *whole))
-                else {
-                    continue;
-                };
-                out.push(Finding::new(
-                    "thread-outside-parallel",
-                    file,
-                    idx + 1,
-                    format!(
-                        "`{pat}` in a simulation crate outside the parallel driver — \
-                         all concurrency lives in sim-core/src/parallel.rs and \
-                         sim-core/src/sync.rs; mark a deliberate exception with \
-                         `// thread-ok: <why>`"
-                    ),
-                ));
+        // thread-outside-parallel
+        for (idx, line) in lines.iter().enumerate() {
+            if in_ranges(&tests, idx) || escaped(&raw_lines, idx, THREAD_OK_MARKER) {
+                continue;
             }
+            let Some((pat, _)) = THREAD_PATTERNS
+                .iter()
+                .find(|(p, whole)| boundary_match(line, p, *whole))
+            else {
+                continue;
+            };
+            out.push(Finding::new(
+                "thread-outside-parallel",
+                file,
+                idx + 1,
+                format!(
+                    "`{pat}` in a simulation crate — the simulator is one sequential \
+                     event loop; mark a deliberate exception with `// thread-ok: <why>`"
+                ),
+            ));
         }
         // std-time
         for (idx, line) in lines.iter().enumerate() {
@@ -938,12 +920,7 @@ pub fn rule_descriptions() -> Vec<(&'static str, &'static str)> {
         ),
         (
             "thread-outside-parallel",
-            "no threads/locks/atomics outside sim-core/src/parallel.rs (escape: thread-ok:)",
-        ),
-        (
-            "worker-purity",
-            "[graph] nothing reachable from parallel worker entry points may touch statics, \
-             thread primitives, or serial-only APIs (escape: worker-ok:)",
+            "no threads/locks/atomics/spin loops in simulation crates (escape: thread-ok:)",
         ),
         (
             "recovery-panic-freedom",

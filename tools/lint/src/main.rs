@@ -2,8 +2,8 @@
 //! run the workspace lints and exit nonzero on any finding (CI gates on
 //! this).
 //!
-//! * `--graph`       also run the call-graph rules (worker-purity,
-//!   recovery-panic-freedom, charge-coverage) with witness call chains.
+//! * `--graph`       also run the call-graph rules
+//!   (recovery-panic-freedom, charge-coverage) with witness call chains.
 //! * `--json <file>` write a machine-readable report (`-` for stdout).
 //! * `--list-rules`  print every rule with a one-line description.
 

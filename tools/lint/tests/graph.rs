@@ -29,120 +29,6 @@ fn rules(findings: &[Finding]) -> Vec<&str> {
     r
 }
 
-fn chain_of<'a>(findings: &'a [Finding], msg_part: &str) -> &'a [String] {
-    &findings
-        .iter()
-        .find(|f| f.msg.contains(msg_part))
-        .unwrap_or_else(|| panic!("no finding mentioning {msg_part:?}: {findings:?}"))
-        .chain
-}
-
-// ---------------------------------------------------------------- worker
-
-#[test]
-fn worker_purity_fixture_fires() {
-    let src = fixture("graph_worker_impure.rs");
-    let f = analyze_src("graph_worker_impure.rs", &src);
-    assert_eq!(rules(&f), ["worker-purity"], "findings: {f:?}");
-    assert_eq!(f.len(), 3, "findings: {f:?}");
-
-    // Thread primitive two calls below the entry point, witness chain
-    // from the root through the helper.
-    let chain = chain_of(&f, "`Mutex`");
-    assert!(chain[0].contains("exec_local_event"), "chain: {chain:?}");
-    assert!(
-        chain.last().unwrap().contains("log_stat"),
-        "chain: {chain:?}"
-    );
-    assert!(
-        chain.iter().any(|h| h.contains("helper")),
-        "chain: {chain:?}"
-    );
-
-    // Serial-only marker on the callee, flagged at the worker's call site.
-    assert!(f.iter().any(|x| x.msg.contains("apply_effect")));
-    // Static touched inside a worker-reachable helper.
-    assert!(f.iter().any(|x| x.msg.contains("WORKER_SEED")));
-}
-
-#[test]
-fn worker_purity_escapes_and_mutations_go_quiet() {
-    let src = fixture("graph_worker_impure.rs");
-
-    // Escape every offending line with `// worker-ok:`.
-    let escaped = src
-        .replace(
-            "let m = Mutex::new(x);",
-            "let m = Mutex::new(x); // worker-ok: test escape",
-        )
-        .replace(
-            "let b = apply_effect(a);",
-            "let b = apply_effect(a); // worker-ok: test escape",
-        )
-        .replace(
-            "    WORKER_SEED\n",
-            "    WORKER_SEED // worker-ok: test escape\n",
-        );
-    let f = analyze_src("graph_worker_impure.rs", &escaped);
-    assert!(f.is_empty(), "findings: {f:?}");
-
-    // Rename the entry point: no root, no reachability, no findings.
-    let unrooted = src.replace("exec_local_event", "some_local_event");
-    let f = analyze_src("graph_worker_impure.rs", &unrooted);
-    assert!(f.is_empty(), "findings: {f:?}");
-}
-
-#[test]
-fn am_handler_root_fixture_fires() {
-    // A named fn passed to `register_am` is a worker root: the thread
-    // primitive one call below it and the static it reads both fire,
-    // with witness chains starting at the handler.
-    let src = fixture("graph_am_impure.rs");
-    let f = analyze_src("graph_am_impure.rs", &src);
-    assert_eq!(rules(&f), ["worker-purity"], "findings: {f:?}");
-    assert_eq!(f.len(), 2, "findings: {f:?}");
-
-    let chain = chain_of(&f, "`Mutex`");
-    assert!(chain[0].contains("on_ping"), "chain: {chain:?}");
-    assert!(chain.last().unwrap().contains("tally"), "chain: {chain:?}");
-    assert!(f.iter().any(|x| x.msg.contains("AM_SEED")));
-}
-
-#[test]
-fn am_handler_root_escapes_and_mutations_go_quiet() {
-    let src = fixture("graph_am_impure.rs");
-
-    // Escape both offending lines with `// worker-ok:`.
-    let escaped = src
-        .replace(
-            "let m = Mutex::new(x);",
-            "let m = Mutex::new(x); // worker-ok: test escape",
-        )
-        .replace(
-            "tally(x) + AM_SEED",
-            "tally(x) + AM_SEED // worker-ok: test escape",
-        );
-    let f = analyze_src("graph_am_impure.rs", &escaped);
-    assert!(f.is_empty(), "findings: {f:?}");
-
-    // Register a closure instead of the named fn: nothing roots on_ping.
-    let closured = src.replace(
-        "c.register_am::<u32>(on_ping)",
-        "c.register_am::<u32>(move |x| x)",
-    );
-    let f = analyze_src("graph_am_impure.rs", &closured);
-    assert!(f.is_empty(), "findings: {f:?}");
-
-    // A *call* in argument position is the registering fn's business,
-    // not a handler registration: `on_ping(7)` must not root it.
-    let called = src.replace(
-        "c.register_am::<u32>(on_ping)",
-        "c.register_am::<u32>(on_ping(7))",
-    );
-    let f = analyze_src("graph_am_impure.rs", &called);
-    assert!(f.is_empty(), "findings: {f:?}");
-}
-
 // -------------------------------------------------------------- recovery
 
 #[test]

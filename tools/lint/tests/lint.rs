@@ -138,19 +138,26 @@ fn thread_spawn_fixture_fires() {
     // `mpscish` must not fire (the count above would be 7 otherwise).
 }
 
+/// The paths that once held a threaded driver and its barrier, plus
+/// the event queue: no sim-crate file is a sanctioned home for
+/// concurrency.
+const FORMER_DRIVER_PATHS: [&str; 3] = [
+    "crates/sim-core/src/parallel.rs",
+    "crates/sim-core/src/sync.rs",
+    "crates/sim-core/src/queue.rs",
+];
+
+fn thread_rule_hits_at(fixture_name: &str, path: &str) -> usize {
+    lint_source("sim-core", path, &fixture(fixture_name))
+        .iter()
+        .filter(|x| x.rule == "thread-outside-parallel")
+        .count()
+}
+
 #[test]
-fn thread_rule_exempts_the_parallel_driver() {
-    let src = fixture("thread_spawn.rs");
-    // Both sanctioned files: the windowed driver and its sync layer.
-    for path in [
-        "crates/sim-core/src/parallel.rs",
-        "crates/sim-core/src/sync.rs",
-    ] {
-        let f = lint_source("sim-core", path, &src);
-        assert!(
-            !f.iter().any(|x| x.rule == "thread-outside-parallel"),
-            "{path} findings: {f:?}"
-        );
+fn thread_rule_has_no_file_exemption() {
+    for path in FORMER_DRIVER_PATHS {
+        assert_eq!(thread_rule_hits_at("thread_spawn.rs", path), 5, "{path}");
     }
 }
 
@@ -167,20 +174,17 @@ fn spin_loop_fixture_fires() {
 }
 
 #[test]
-fn spin_loop_rule_exempts_the_sync_module() {
-    let src = fixture("spin_loop.rs");
-    let f = lint_source("sim-core", "crates/sim-core/src/sync.rs", &src);
-    assert!(
-        !f.iter().any(|x| x.rule == "thread-outside-parallel"),
-        "findings: {f:?}"
-    );
+fn spin_loop_rule_has_no_file_exemption() {
+    for path in FORMER_DRIVER_PATHS {
+        assert_eq!(thread_rule_hits_at("spin_loop.rs", path), 3, "{path}");
+    }
 }
 
 #[test]
 fn thread_rule_only_applies_to_sim_crates() {
     let src = fixture("thread_spawn.rs");
-    // The driver crate (`core`) coordinates the worker pool and may hold
-    // atomics; benches and apps thread freely.
+    // The rule covers the simulation crates only; the driver crate
+    // (`core`), apps and benches are outside it.
     for crate_dir in ["core", "apps", "bench"] {
         let f = lint_source(crate_dir, "fixtures/thread_spawn.rs", &src);
         assert!(
