@@ -1,12 +1,15 @@
 //! Criterion benches of the simulator's hot substrate paths: the event
-//! queue, the memory pool, torus routing, and raw fabric operations.
+//! queue, the memory pool, torus routing, raw fabric operations and the
+//! uGNI small-message path.
 //! These measure the *simulator's* real wall-clock performance (the
 //! figure-level results are virtual-time and live in `src/bin/`).
 
+use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gemini_net::{Fabric, GeminiParams, Mechanism, RdmaOp, RegTable, Torus};
 use mempool::MemPool;
 use sim_core::EventQueue;
+use ugni::{EpHandle, Gni};
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_push_pop_1k", |b| {
@@ -107,6 +110,51 @@ fn bench_fabric(c: &mut Criterion) {
     });
 }
 
+/// The uGNI layer's per-message work at `hopper_dense` size: 24,576 PEs,
+/// 24 per node, each sending 2-4 small messages to the same core on the
+/// next node, so every one of the 24,576 mailboxes holds 2-4 pending
+/// messages when it is drained. One iteration is one send-then-drain
+/// round (~73k messages); the substrate-level counterpart of the
+/// `lrts.ugni.*.self_ns` spans in `stackbench --trace 1`.
+fn bench_ugni_small_path(c: &mut Criterion) {
+    const CORES: u32 = 24;
+    const PES: u32 = 24_576;
+    let mut g = Gni::new(GeminiParams::hopper(), PES / CORES);
+    let cq = g.cq_create();
+    let eps: Vec<EpHandle> = (0..PES)
+        .map(|pe| {
+            let dst = (pe + CORES) % PES;
+            g.ep_create_inst(pe / CORES, pe, dst / CORES, dst, cq)
+                .expect("nodes within the job")
+        })
+        .collect();
+    let payload = Bytes::from_static(&[0x5A; 64]);
+    let mut now = 0;
+    c.bench_function("ugni_smsg_send_drain_24k_mailboxes", |b| {
+        b.iter(|| {
+            // Far enough past the last round that every credit is back.
+            now += 1_000_000;
+            let mut last = now;
+            for (pe, &ep) in eps.iter().enumerate() {
+                for _ in 0..2 + pe % 3 {
+                    let ok = g
+                        .smsg_send_w_tag(now, ep, 0, payload.clone())
+                        .expect("credits returned between rounds");
+                    last = last.max(ok.deliver_at);
+                }
+            }
+            let mut bytes = 0;
+            for pe in 0..PES {
+                while let Ok(rx) = g.smsg_get_next_w_tag(pe / CORES, pe, last) {
+                    bytes += rx.data.len();
+                }
+            }
+            now = last;
+            black_box(bytes)
+        })
+    });
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default()
@@ -117,6 +165,7 @@ criterion_group!(
     bench_event_queue,
     bench_mempool,
     bench_routing,
-    bench_fabric
+    bench_fabric,
+    bench_ugni_small_path
 );
 criterion_main!(benches);

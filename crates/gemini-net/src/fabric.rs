@@ -4,14 +4,14 @@
 //! the initiating core burned, and the caller (the runtime driver) turns
 //! those into discrete events.
 
-use crate::fault::FaultKind;
+use crate::fault::{FaultKind, FaultPlan};
 use crate::lazy::{LazySlab, LazyVec};
 use crate::links::LinkTable;
 use crate::params::{GeminiParams, Mechanism, RdmaOp};
-use crate::reg::RegTable;
-use crate::topology::{LinkId, NodeId, Torus};
-use sim_core::{DetRng, Time};
-use std::collections::{HashMap, VecDeque};
+use crate::reg::{Addr, DeregError, MemHandle, RegTable};
+use crate::topology::{LinkId, NodeId, Torus, DOR};
+use sim_core::{DetHashMap, DetRng, Time};
+use std::collections::VecDeque;
 
 /// Why an SMSG send could not be accepted right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,7 +111,12 @@ pub struct Fabric {
     /// Lazily created per-connection SMSG state. Connections are between
     /// *processes* (PEs), not nodes — the paper: "It requires each
     /// peer-to-peer connection to create mailboxes for its both ends".
-    conns: HashMap<(u32, u32), SmsgConn>,
+    conns: DetHashMap<(u32, u32), SmsgConn>,
+    /// Scratch routes, reused by every transaction so routing allocates
+    /// nothing: `route` holds the chosen route, `route_alt` a candidate
+    /// (adaptive routing) or a GET's request path.
+    route: Vec<LinkId>,
+    route_alt: Vec<LinkId>,
     /// Per-node registration tables, materialized on first registration.
     reg: LazySlab<RegTable>,
     /// How many nodes this job actually spans (sets the SMSG size limit).
@@ -140,7 +145,9 @@ impl Fabric {
             fma_rx: LazyVec::new(n as usize, 0),
             bte_tx: LazyVec::new(n as usize, 0),
             bte_rx: LazyVec::new(n as usize, 0),
-            conns: HashMap::new(),
+            conns: DetHashMap::default(),
+            route: Vec::new(),
+            route_alt: Vec::new(),
             reg: LazySlab::new(n as usize),
             links,
             topo,
@@ -197,6 +204,19 @@ impl Fabric {
         self.reg.get_mut(node as usize)
     }
 
+    /// Register `bytes` at `addr` in `node`'s table; returns the handle and
+    /// the CPU cost.
+    pub fn mem_register(&mut self, node: NodeId, addr: Addr, bytes: u64) -> (MemHandle, Time) {
+        self.reg
+            .get_mut(node as usize)
+            .register(&self.params, addr, bytes)
+    }
+
+    /// Deregister `h` from `node`'s table; returns the CPU cost.
+    pub fn mem_deregister(&mut self, node: NodeId, h: MemHandle) -> Result<Time, DeregError> {
+        self.reg.get_mut(node as usize).deregister(&self.params, h)
+    }
+
     /// Read-only view of a node's registration table. A node that never
     /// registered anything reads as an empty table (the shared pristine
     /// default) without materializing its slot.
@@ -208,47 +228,39 @@ impl Fabric {
     /// default; with adaptive routing, the minimal dimension order whose
     /// links free up earliest (deterministic tie-break on canonical order).
     /// Routes crossing a downed link are avoided when any alternative
-    /// minimal route is up; the returned flag is true when every candidate
-    /// was down.
-    fn pick_route(&self, a: NodeId, b: NodeId, at: Time) -> (Vec<LinkId>, bool) {
+    /// minimal route is up. The route is left in `self.route`; the
+    /// returned flag is true when every candidate was down.
+    fn pick_route(&mut self, a: NodeId, b: NodeId, at: Time) -> bool {
         let plan = &self.params.fault;
         if !self.params.adaptive_routing {
-            let r = self.topo.route(a, b);
-            let down = plan.route_is_down(&r, at);
-            return (r, down);
+            self.topo.route_into(a, b, DOR, &mut self.route);
+            return plan.route_is_down(&self.route, at);
         }
         // Ordering on (down, busy): an up route always beats a down one.
-        let mut best: Option<(bool, Time, Vec<LinkId>)> = None;
-        for order in [[0u8, 1, 2], [1, 0, 2], [2, 1, 0]] {
-            let r = self.topo.route_ordered(a, b, order);
-            let down = plan.route_is_down(&r, at);
-            let busy = self.links.path_busy(&r);
-            match &best {
-                Some((b_down, b_busy, _)) if (*b_down, *b_busy) <= (down, busy) => {}
-                _ => best = Some((down, busy, r)),
+        let mut best: Option<(bool, Time)> = None;
+        for order in [DOR, [1, 0, 2], [2, 1, 0]] {
+            self.topo.route_into(a, b, order, &mut self.route_alt);
+            let down = plan.route_is_down(&self.route_alt, at);
+            let busy = self.links.path_busy(&self.route_alt);
+            match best {
+                Some(b) if b <= (down, busy) => {}
+                _ => {
+                    best = Some((down, busy));
+                    std::mem::swap(&mut self.route, &mut self.route_alt);
+                }
             }
         }
         // panic-ok: the torus always yields at least one candidate route
-        let (down, _, r) = best.expect("at least one candidate route");
-        (r, down)
-    }
-
-    /// Is either endpoint of a transaction inside a node-crash window at
-    /// `at`? Purely schedule-driven — never touches the fault RNG, so plans
-    /// whose only entries are crash windows leave every surviving
-    /// transaction's timing and fault stream untouched.
-    fn endpoint_down(&self, a: NodeId, b: NodeId, at: Time) -> bool {
-        let f = &self.params.fault;
-        !f.node_crash.is_empty() && (f.node_is_down(a, at) || f.node_is_down(b, at))
+        best.expect("at least one candidate route").0
     }
 
     /// Roll the fault dice for one transaction. Draws from the fault RNG
     /// only when a probability is actually nonzero.
-    fn fault_decide(&mut self, drop_p: f64, corrupt_p: f64) -> Option<FaultKind> {
+    fn fault_decide(rng: &mut DetRng, drop_p: f64, corrupt_p: f64) -> Option<FaultKind> {
         if drop_p <= 0.0 && corrupt_p <= 0.0 {
             return None;
         }
-        let u = self.fault_rng.unit();
+        let u = rng.unit();
         if u < drop_p {
             Some(FaultKind::Dropped)
         } else if u < drop_p + corrupt_p {
@@ -293,26 +305,28 @@ impl Fabric {
         if bytes > limit as u64 {
             return Err(SmsgError::TooLarge { limit });
         }
-        let credits = self.params.smsg_credits;
+        let p = &self.params;
+        // One lookup: the connection stays borrowed while the other fields
+        // are used.
         let conn = self.conns.entry(conn_key).or_default();
         while conn.in_flight.front().is_some_and(|&t| t <= now) {
             conn.in_flight.pop_front();
         }
-        if conn.in_flight.len() >= credits as usize {
+        if conn.in_flight.len() >= p.smsg_credits as usize {
             self.stats.credit_stalls += 1;
             // panic-ok: nonempty — in_flight.len() >= credits >= 1 just above
             let retry_at = *conn.in_flight.front().unwrap();
             return Err(SmsgError::NoCredits { retry_at });
         }
 
-        let route = self.topo.route(src, dst);
-        let cpu = self.params.smsg_send_cpu;
+        self.topo.route_into(src, dst, DOR, &mut self.route);
+        let route = &self.route;
+        let cpu = p.smsg_send_cpu;
         // Crashed endpoint: the NIC on one side is dead, so nothing is
         // transmitted and no fault RNG is consulted.
-        if self.endpoint_down(src, dst, now) {
+        if endpoint_down(&p.fault, src, dst, now) {
             self.stats.faults_node_down += 1;
-            let error_at =
-                now + cpu + self.params.injection_latency + self.links.control_latency(&route);
+            let error_at = now + cpu + p.injection_latency + self.links.control_latency(route);
             return Err(SmsgError::TransactionError {
                 kind: FaultKind::NodeDown,
                 cpu,
@@ -322,10 +336,9 @@ impl Fabric {
         }
         // Link outage: nothing is transmitted; the sending NIC learns of
         // the dead path after a control round-trip.
-        if self.params.fault.route_is_down(&route, now) {
+        if p.fault.route_is_down(route, now) {
             self.stats.faults_link_down += 1;
-            let error_at =
-                now + cpu + self.params.injection_latency + self.links.control_latency(&route);
+            let error_at = now + cpu + p.injection_latency + self.links.control_latency(route);
             return Err(SmsgError::TransactionError {
                 kind: FaultKind::LinkDown,
                 cpu,
@@ -333,26 +346,23 @@ impl Fabric {
                 delivered_at: None,
             });
         }
-        let (drop_p, corrupt_p) = (self.params.fault.smsg_drop, self.params.fault.smsg_corrupt);
-        let fault = self.fault_decide(drop_p, corrupt_p);
+        let fault =
+            Self::fault_decide(&mut self.fault_rng, p.fault.smsg_drop, p.fault.smsg_corrupt);
 
-        let p = &self.params;
         // SMSG packets interleave with bulk FMA traffic (sub-chunk sized),
         // so they neither wait for nor occupy the engine window; they still
         // contend for link bandwidth.
         let inject = now + cpu + p.smsg_nic_latency + p.injection_latency;
-        let (_depart, arrive) = self.links.reserve(inject, &route, bytes, p.fma_bw_gbs);
+        let (_depart, arrive) = self.links.reserve(inject, route, bytes, p.fma_bw_gbs);
         let deliver_at = arrive + p.ejection_latency;
 
         // Credit returns after the receiver drains the slot and the NIC-level
         // ack crosses back.
-        let back = self.links.control_latency(&route);
+        let back = self.links.control_latency(route);
         let release = deliver_at + p.smsg_recv_cpu + back + p.injection_latency;
 
         self.stats.smsg_sends += 1;
         self.stats.smsg_bytes += bytes;
-        // panic-ok: entry materialized by or_default at the top of this fn
-        let conn = self.conns.get_mut(&conn_key).unwrap();
         conn.in_flight.push_back(release);
         match fault {
             None => Ok(SmsgOutcome { cpu, deliver_at }),
@@ -395,25 +405,25 @@ impl Fabric {
         if bytes > limit as u64 {
             return Err(SmsgError::TooLarge { limit });
         }
-        let credits = self.params.msgq_credits;
+        let p = &self.params;
         // Shared credits: the connection key is the destination node.
         let conn = self.conns.entry((u32::MAX, dst)).or_default();
         while conn.in_flight.front().is_some_and(|&t| t <= now) {
             conn.in_flight.pop_front();
         }
-        if conn.in_flight.len() >= credits as usize {
+        if conn.in_flight.len() >= p.msgq_credits as usize {
             self.stats.credit_stalls += 1;
             // panic-ok: nonempty — in_flight.len() >= credits >= 1 just above
             let retry_at = *conn.in_flight.front().unwrap();
             return Err(SmsgError::NoCredits { retry_at });
         }
 
-        let route = self.topo.route(src, dst);
-        let cpu = self.params.smsg_send_cpu + self.params.msgq_extra_cpu;
-        if self.endpoint_down(src, dst, now) {
+        self.topo.route_into(src, dst, DOR, &mut self.route);
+        let route = &self.route;
+        let cpu = p.smsg_send_cpu + p.msgq_extra_cpu;
+        if endpoint_down(&p.fault, src, dst, now) {
             self.stats.faults_node_down += 1;
-            let error_at =
-                now + cpu + self.params.injection_latency + self.links.control_latency(&route);
+            let error_at = now + cpu + p.injection_latency + self.links.control_latency(route);
             return Err(SmsgError::TransactionError {
                 kind: FaultKind::NodeDown,
                 cpu,
@@ -421,10 +431,9 @@ impl Fabric {
                 delivered_at: None,
             });
         }
-        if self.params.fault.route_is_down(&route, now) {
+        if p.fault.route_is_down(route, now) {
             self.stats.faults_link_down += 1;
-            let error_at =
-                now + cpu + self.params.injection_latency + self.links.control_latency(&route);
+            let error_at = now + cpu + p.injection_latency + self.links.control_latency(route);
             return Err(SmsgError::TransactionError {
                 kind: FaultKind::LinkDown,
                 cpu,
@@ -432,21 +441,18 @@ impl Fabric {
                 delivered_at: None,
             });
         }
-        let (drop_p, corrupt_p) = (self.params.fault.smsg_drop, self.params.fault.smsg_corrupt);
-        let fault = self.fault_decide(drop_p, corrupt_p);
+        let fault =
+            Self::fault_decide(&mut self.fault_rng, p.fault.smsg_drop, p.fault.smsg_corrupt);
 
-        let p = &self.params;
         let nic_ready = (now + cpu).max(self.fma_tx.get(src as usize));
         let inject = nic_ready + p.smsg_nic_latency + p.msgq_extra_latency + p.injection_latency;
-        let (depart, arrive) = self.links.reserve(inject, &route, bytes, p.fma_bw_gbs);
+        let (depart, arrive) = self.links.reserve(inject, route, bytes, p.fma_bw_gbs);
         let ser = arrive - depart - p.hop_latency * route.len() as Time;
         *self.fma_tx.get_mut(src as usize) = depart + ser;
         let deliver_at = arrive + p.ejection_latency;
 
-        let back = self.links.control_latency(&route);
+        let back = self.links.control_latency(route);
         let release = deliver_at + p.smsg_recv_cpu + p.msgq_extra_cpu + back + p.injection_latency;
-        // panic-ok: entry materialized by or_default at the top of this fn
-        let conn = self.conns.get_mut(&(u32::MAX, dst)).unwrap();
         conn.in_flight.push_back(release);
 
         self.stats.msgq_sends += 1;
@@ -486,22 +492,11 @@ impl Fabric {
         mech: Mechanism,
         op: RdmaOp,
     ) -> RdmaOutcome {
-        let p = self.params.clone();
         self.stats.rdma_bytes += bytes;
         match mech {
             Mechanism::Fma => self.stats.fma_transactions += 1,
             Mechanism::Bte => self.stats.bte_transactions += 1,
         }
-
-        // CPU involvement and engine costs.
-        let (cpu, bw_cap, startup) = match mech {
-            Mechanism::Fma => {
-                let chunks = bytes.div_ceil(p.fma_chunk_bytes as u64);
-                let cpu = p.fma_post_cpu + chunks * p.fma_chunk_cpu;
-                (cpu, p.fma_bw_gbs, p.fma_nic_latency)
-            }
-            Mechanism::Bte => (p.bte_post_cpu, p.bte_bw_gbs, p.bte_startup),
-        };
 
         // Data path endpoints.
         let (data_src, data_dst) = match op {
@@ -513,11 +508,24 @@ impl Fabric {
         // minimal route is still up. If every candidate is down, the
         // transaction fails without touching the wire — the NIC raises an
         // error CQ event after the dead path is discovered.
-        let (route, route_down) = self.pick_route(data_src, data_dst, now);
-        if self.endpoint_down(data_src, data_dst, now) {
+        let route_down = self.pick_route(data_src, data_dst, now);
+        let p = &self.params;
+        let route = &self.route;
+
+        // CPU involvement and engine costs.
+        let (cpu, bw_cap, startup) = match mech {
+            Mechanism::Fma => {
+                let chunks = bytes.div_ceil(p.fma_chunk_bytes as u64);
+                let cpu = p.fma_post_cpu + chunks * p.fma_chunk_cpu;
+                (cpu, p.fma_bw_gbs, p.fma_nic_latency)
+            }
+            Mechanism::Bte => (p.bte_post_cpu, p.bte_bw_gbs, p.bte_startup),
+        };
+
+        if endpoint_down(&p.fault, data_src, data_dst, now) {
             self.stats.faults_node_down += 1;
             let error_at =
-                now + cpu + startup + p.injection_latency + self.links.control_latency(&route);
+                now + cpu + startup + p.injection_latency + self.links.control_latency(route);
             return RdmaOutcome {
                 cpu,
                 local_cq_at: error_at,
@@ -528,7 +536,7 @@ impl Fabric {
         if route_down {
             self.stats.faults_link_down += 1;
             let error_at =
-                now + cpu + startup + p.injection_latency + self.links.control_latency(&route);
+                now + cpu + startup + p.injection_latency + self.links.control_latency(route);
             return RdmaOutcome {
                 cpu,
                 local_cq_at: error_at,
@@ -540,7 +548,7 @@ impl Fabric {
             Mechanism::Fma => (p.fault.fma_drop, p.fault.fma_corrupt),
             Mechanism::Bte => (p.fault.bte_drop, p.fault.bte_corrupt),
         };
-        let fault = self.fault_decide(drop_p, corrupt_p);
+        let fault = Self::fault_decide(&mut self.fault_rng, drop_p, corrupt_p);
         if fault.is_some() {
             self.stats.faults_rdma += 1;
         }
@@ -572,15 +580,16 @@ impl Fabric {
         let start = match op {
             RdmaOp::Put => ready + p.injection_latency,
             RdmaOp::Get => {
-                let req_route = self.topo.route(initiator, remote);
+                self.topo
+                    .route_into(initiator, remote, DOR, &mut self.route_alt);
                 ready
                     + p.injection_latency
-                    + self.links.control_latency(&req_route)
+                    + self.links.control_latency(&self.route_alt)
                     + p.get_request_overhead
             }
         };
 
-        let (depart, arrive) = self.links.reserve(start.max(gate), &route, bytes, bw_cap);
+        let (depart, arrive) = self.links.reserve(start.max(gate), route, bytes, bw_cap);
         let ser = arrive - depart - p.hop_latency * route.len() as Time;
 
         if gated {
@@ -598,7 +607,7 @@ impl Fabric {
         match op {
             RdmaOp::Put => {
                 // Local completion after the remote NIC acks back.
-                let ack = self.links.control_latency(&route);
+                let ack = self.links.control_latency(route);
                 RdmaOutcome {
                     cpu,
                     local_cq_at: landed + ack,
@@ -633,6 +642,14 @@ impl Fabric {
     pub fn links_ref(&self) -> &LinkTable {
         &self.links
     }
+}
+
+/// Is either endpoint of a transaction inside a node-crash window at
+/// `at`? Purely schedule-driven — never touches the fault RNG, so plans
+/// whose only entries are crash windows leave every surviving
+/// transaction's timing and fault stream untouched.
+fn endpoint_down(f: &FaultPlan, a: NodeId, b: NodeId, at: Time) -> bool {
+    !f.node_crash.is_empty() && (f.node_is_down(a, at) || f.node_is_down(b, at))
 }
 
 /// Choose a near-cubic torus covering at least `n` nodes.

@@ -8,8 +8,8 @@
 
 use crate::params::GeminiParams;
 use serde::{Deserialize, Serialize};
-use sim_core::Time;
-use std::collections::{BTreeMap, HashMap};
+use sim_core::{DetHashMap, Time};
+use std::collections::BTreeMap;
 
 /// Opaque simulated memory address: identifies a buffer for registration
 /// caching. Buffers allocated at different times get distinct addresses
@@ -33,7 +33,7 @@ pub struct DeregError {
 #[derive(Debug, Default)]
 pub struct RegTable {
     next: u64,
-    regions: HashMap<MemHandle, (Addr, u64)>,
+    regions: DetHashMap<MemHandle, (Addr, u64)>,
     registered_bytes: u64,
     /// Lifetime counters for diagnostics / assertions in tests.
     pub total_registrations: u64,

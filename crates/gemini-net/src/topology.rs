@@ -56,6 +56,9 @@ impl fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
+/// Dimension order x, y, z: the deterministic route.
+pub(crate) const DOR: [u8; 3] = [0, 1, 2];
+
 /// A directed link: from node `from`, along `dim` (0=x,1=y,2=z), in `dir`
 /// (+1 or -1 step around the ring).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -162,7 +165,7 @@ impl Torus {
     /// The dimension-ordered route from `a` to `b` as a list of directed
     /// links. Empty when `a == b`.
     pub fn route(&self, a: NodeId, b: NodeId) -> Vec<LinkId> {
-        self.route_ordered(a, b, [0, 1, 2])
+        self.route_ordered(a, b, DOR)
     }
 
     /// Route correcting dimensions in the given order — the building block
@@ -171,6 +174,15 @@ impl Torus {
     /// minimal-length dimension orders).
     pub fn route_ordered(&self, a: NodeId, b: NodeId, order: [u8; 3]) -> Vec<LinkId> {
         let mut links = Vec::new();
+        self.route_into(a, b, order, &mut links);
+        links
+    }
+
+    /// [`Torus::route_ordered`] into a caller-owned buffer, which is
+    /// cleared first: a hot caller reuses one buffer instead of
+    /// allocating a route per message.
+    pub fn route_into(&self, a: NodeId, b: NodeId, order: [u8; 3], links: &mut Vec<LinkId>) {
+        links.clear();
         let mut cur = self.coords(a);
         let dst = self.coords(b);
         let dims = [self.dims.0, self.dims.1, self.dims.2];
@@ -202,7 +214,6 @@ impl Torus {
             }
         }
         debug_assert_eq!(self.node_at(cur), b);
-        links
     }
 
     /// Map a PE (core) id to its node, given cores per node.

@@ -112,7 +112,7 @@ impl MachineLayer for MpiLayer {
         // "If CHARM++ is implemented on MPI, an extra memory copy between
         // CHARM++ and MPI memory space may be needed" (paper §I) — charged
         // here for eager-sized messages.
-        let params = self.cfg.params.clone();
+        let params = &self.cfg.params;
         if (msg.len() as u64) < self.cfg.rndv_threshold {
             ctx.charge_overhead(src_pe, params.memcpy_cost(msg.len() as u64));
         }

@@ -26,9 +26,9 @@ use charm_rt::lrts::{MachineLayer, PersistentHandle};
 use charm_rt::msg::PeId;
 use gemini_net::{Addr, MemHandle, RdmaOp};
 use mempool::{Block, MemPool};
-use sim_core::{LazyVec, Time};
+use sim_core::{DetHashMap, DetHashSet, LazySlab, LazyVec, Time};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use ugni::{CqEvent, CqHandle, EpHandle, Gni, GniError, GniResult, PostDescriptor, SmsgSendOk};
 
 // With the `verify` feature every uGNI call goes through the CheckedGni
@@ -191,6 +191,11 @@ pub struct UgniStats {
 /// sparse job touching scattered PEs should not pay 24 KiB pages).
 const POLL_PAGE: usize = 64;
 
+/// Materialization grain for the per-PE CQ handle and pool tables (8 B
+/// per PE each): a page costs about what the `BTreeMap` entry it
+/// replaces did, so a sparse job touching one PE per page pays no more.
+const NIC_PAGE: usize = 16;
+
 /// The machine layer object.
 pub struct UgniLayer {
     cfg: UgniConfig,
@@ -198,31 +203,33 @@ pub struct UgniLayer {
     /// One transaction CQ per PE, created on the PE's first traffic (a
     /// whole-machine job at Hopper scale must not allocate 150k+ CQs up
     /// front when a run touches a fraction of them; handles are opaque,
-    /// so first-touch creation order is unobservable).
-    cqs: BTreeMap<PeId, CqHandle>,
+    /// so first-touch creation order is unobservable). Indexed by PE.
+    cqs: LazyVec<Option<CqHandle>, NIC_PAGE>,
     /// Lazily created endpoints per (src_pe, dst_pe).
-    eps: HashMap<(PeId, PeId), EpHandle>,
+    eps: DetHashMap<(PeId, PeId), EpHandle>,
     /// One message pool per PE (per process, as in non-SMP Charm++),
     /// created on first allocation from the PE's fixed address window.
-    pools: BTreeMap<PeId, MemPool>,
+    /// Indexed by PE; an untouched PE costs a null pointer once its page
+    /// exists and nothing before.
+    pools: LazySlab<Option<Box<MemPool>>, NIC_PAGE>,
     /// Per-connection send backlog (credit exhaustion + fabric faults).
-    backlog: HashMap<(PeId, PeId), ConnBacklog>,
-    sends: HashMap<u64, PendingSend>,
-    recvs: HashMap<u64, PendingRecv>,
-    persists: HashMap<PersistentHandle, PersistChan>,
+    backlog: DetHashMap<(PeId, PeId), ConnBacklog>,
+    sends: DetHashMap<u64, PendingSend>,
+    recvs: DetHashMap<u64, PendingRecv>,
+    persists: DetHashMap<PersistentHandle, PersistChan>,
     /// In-flight persistent payloads keyed by xid.
-    persist_data: HashMap<u64, (Bytes, PeId)>,
+    persist_data: DetHashMap<u64, (Bytes, PeId)>,
     /// Persistent PUTs awaiting a CQ completion (chaos mode only).
-    persist_pending: HashMap<u64, PendingPut>,
+    persist_pending: DetHashMap<u64, PendingPut>,
     /// True when the configured fault plan can inject anything. All
     /// recovery bookkeeping that would perturb timing (sequence headers,
     /// CQ-reaped PUT completions) is gated on this so fault-free runs stay
     /// bit-identical to the pre-chaos code.
     chaos: bool,
     /// Next small-path sequence number per connection (chaos mode).
-    seq_tx: HashMap<(PeId, PeId), u64>,
+    seq_tx: DetHashMap<(PeId, PeId), u64>,
     /// Sequence numbers already delivered per connection (chaos mode).
-    seq_seen: HashMap<(PeId, PeId), HashSet<u64>>,
+    seq_seen: DetHashMap<(PeId, PeId), DetHashSet<u64>>,
     /// SMP mode: per-node comm-thread availability.
     comm_busy: Vec<Time>,
     /// Earliest armed poll event per PE (coalescing: one in-flight
@@ -241,18 +248,18 @@ impl UgniLayer {
         UgniLayer {
             cfg,
             gni: None,
-            cqs: BTreeMap::new(),
-            eps: HashMap::new(),
-            pools: BTreeMap::new(),
-            backlog: HashMap::new(),
-            sends: HashMap::new(),
-            recvs: HashMap::new(),
-            persists: HashMap::new(),
-            persist_data: HashMap::new(),
-            persist_pending: HashMap::new(),
+            cqs: LazyVec::new(0, None),
+            eps: DetHashMap::default(),
+            pools: LazySlab::new(0),
+            backlog: DetHashMap::default(),
+            sends: DetHashMap::default(),
+            recvs: DetHashMap::default(),
+            persists: DetHashMap::default(),
+            persist_data: DetHashMap::default(),
+            persist_pending: DetHashMap::default(),
             chaos,
-            seq_tx: HashMap::new(),
-            seq_seen: HashMap::new(),
+            seq_tx: DetHashMap::default(),
+            seq_seen: DetHashMap::default(),
             comm_busy: Vec::new(),
             poll_armed: LazyVec::new(0, [Time::MAX; 3]),
             next_xid: 0,
@@ -337,12 +344,26 @@ impl UgniLayer {
 
     /// The PE's transaction CQ, created on first touch.
     fn cq(&mut self, pe: PeId) -> CqHandle {
-        if let Some(&cq) = self.cqs.get(&pe) {
+        if let Some(cq) = self.cqs.get(pe as usize) {
             return cq;
         }
         let cq = self.gni_mut().cq_create();
-        self.cqs.insert(pe, cq);
+        *self.cqs.get_mut(pe as usize) = Some(cq);
         cq
+    }
+
+    /// The PE's message pool, created on first touch.
+    fn pool(pools: &mut LazySlab<Option<Box<MemPool>>, NIC_PAGE>, pe: PeId) -> &mut MemPool {
+        pools
+            .get_mut(pe as usize)
+            .get_or_insert_with(|| Box::new(MemPool::new(Self::pool_base(pe))))
+    }
+
+    /// Materialized pages of the per-PE tables (CQs, pools, poll state).
+    pub fn per_pe_pages(&self) -> usize {
+        self.cqs.materialized_pages()
+            + self.pools.materialized_pages()
+            + self.poll_armed.materialized_pages()
     }
 
     pub fn gni(&self) -> &Gni {
@@ -389,11 +410,7 @@ impl UgniLayer {
         if self.cfg.use_mempool {
             let gni = self.gni.as_mut().expect("init");
             let reg = gni.fabric_mut().reg_table(node);
-            let pool = self
-                .pools
-                .entry(pe)
-                .or_insert_with(|| MemPool::new(Self::pool_base(pe)));
-            let (block, cost) = pool.alloc(params, reg, bytes);
+            let (block, cost) = Self::pool(&mut self.pools, pe).alloc(params, reg, bytes);
             (Buf::Pooled(block), cost)
         } else {
             let gni = self.gni.as_mut().expect("init");
@@ -407,11 +424,7 @@ impl UgniLayer {
                     // pre-registered pool so the transfer still proceeds.
                     self.stats.reg_fallbacks += 1;
                     let reg = gni.fabric_mut().reg_table(node);
-                    let pool = self
-                        .pools
-                        .entry(pe)
-                        .or_insert_with(|| MemPool::new(Self::pool_base(pe)));
-                    let (block, cost) = pool.alloc(params, reg, bytes);
+                    let (block, cost) = Self::pool(&mut self.pools, pe).alloc(params, reg, bytes);
                     (Buf::Pooled(block), malloc + cost)
                 }
             }
@@ -428,10 +441,7 @@ impl UgniLayer {
                 let gni = self.gni.as_mut().expect("init");
                 gni.mem_clear(node, block.addr);
                 let reg = gni.fabric_mut().reg_table(node);
-                self.pools
-                    .entry(pe)
-                    .or_insert_with(|| MemPool::new(Self::pool_base(pe)))
-                    .free(params, reg, block)
+                Self::pool(&mut self.pools, pe).free(params, reg, block)
             }
             Buf::Direct { addr, handle } => {
                 let gni = self.gni.as_mut().expect("init");
@@ -470,25 +480,16 @@ impl UgniLayer {
         } else {
             data
         };
-        let key = (src_pe, dst_pe);
-        if self.backlog.get(&key).is_some_and(|b| !b.q.is_empty()) {
-            self.backlog.get_mut(&key).unwrap().q.push_back((tag, data));
-            return;
-        }
-        self.try_smsg(ctx, src_pe, dst_pe, tag, data, earliest);
-    }
-
-    /// Attempt one SMSG (or MSGQ message, by configuration); on credit
-    /// exhaustion or a fabric fault, park it and arm a retry timer.
-    fn try_smsg(
-        &mut self,
-        ctx: &mut MachineCtx,
-        src_pe: PeId,
-        dst_pe: PeId,
-        tag: u8,
-        data: Bytes,
-        earliest: Time,
-    ) {
+        // One backlog lookup per send: queue behind a non-empty backlog,
+        // else remember the connection's backoff for the outcome.
+        let backoff = match self.backlog.get_mut(&(src_pe, dst_pe)) {
+            Some(b) if !b.q.is_empty() => {
+                b.q.push_back((tag, data));
+                return;
+            }
+            Some(b) => b.backoff,
+            None => 0,
+        };
         let ep = self.ep(ctx, src_pe, dst_pe);
         let now = earliest.max(ctx.now());
         let use_msgq = self.cfg.small_path == SmallPath::Msgq;
@@ -497,7 +498,9 @@ impl UgniLayer {
         } else {
             self.gni_mut().smsg_send_w_tag(now, ep, tag, data.clone())
         };
-        self.smsg_result(ctx, src_pe, dst_pe, tag, data, now, use_msgq, res, false);
+        self.smsg_result(
+            ctx, src_pe, dst_pe, tag, data, now, use_msgq, res, false, backoff,
+        );
     }
 
     /// Park a small-path message on its connection backlog (front for
@@ -544,14 +547,20 @@ impl UgniLayer {
         use_msgq: bool,
         res: GniResult<SmsgSendOk>,
         front: bool,
+        backoff: Time,
     ) -> bool {
         match res {
             Ok(ok) => {
                 self.charge_comm(ctx, src_pe, ok.cpu);
                 let ev: Ev = if use_msgq { Ev::PollMsgq } else { Ev::PollSmsg };
                 self.schedule_poll(ctx, ok.deliver_at, dst_pe, ev);
-                if let Some(b) = self.backlog.get_mut(&(src_pe, dst_pe)) {
-                    b.backoff = 0;
+                // `backoff` is the connection's backoff when the send was
+                // attempted: a healthy connection (the common case) needs
+                // no second backlog lookup.
+                if backoff != 0 {
+                    if let Some(b) = self.backlog.get_mut(&(src_pe, dst_pe)) {
+                        b.backoff = 0;
+                    }
                 }
                 true
             }
@@ -615,6 +624,7 @@ impl UgniLayer {
             let Some((tag, data)) = b.q.pop_front() else {
                 return;
             };
+            let backoff = b.backoff;
             let ep = self.ep(ctx, src_pe, peer);
             let now = ctx.pe_free_at(src_pe).max(ctx.now());
             let use_msgq = self.cfg.small_path == SmallPath::Msgq;
@@ -623,7 +633,9 @@ impl UgniLayer {
             } else {
                 self.gni_mut().smsg_send_w_tag(now, ep, tag, data.clone())
             };
-            if !self.smsg_result(ctx, src_pe, peer, tag, data, now, use_msgq, res, true) {
+            if !self.smsg_result(
+                ctx, src_pe, peer, tag, data, now, use_msgq, res, true, backoff,
+            ) {
                 return;
             }
         }
@@ -999,10 +1011,7 @@ impl UgniLayer {
                     let node = ctx.node_of(pe);
                     let gni = self.gni.as_mut().expect("init");
                     let reg = gni.fabric_mut().reg_table(node);
-                    let pool = self
-                        .pools
-                        .entry(pe)
-                        .or_insert_with(|| MemPool::new(Self::pool_base(pe)));
+                    let pool = Self::pool(&mut self.pools, pe);
                     let (b, c1) = pool.alloc(params, reg, len);
                     let c2 = pool.free(params, reg, b);
                     c1 + c2
@@ -1063,12 +1072,15 @@ impl MachineLayer for UgniLayer {
     }
 
     fn init(&mut self, ctx: &mut MachineCtx) {
-        // Per-PE structures (CQs, mempools, arming state) are created
-        // lazily on first touch: init stays O(nodes), not O(PEs), so a
-        // Hopper-scale machine costs nothing for the PEs a run never uses.
+        // Per-PE structures (CQs, mempools, arming state) are paged tables
+        // whose pages materialize on first touch: init allocates only the
+        // page index, so a Hopper-scale machine costs next to nothing for
+        // the PEs a run never uses.
         let gni = LGni::new(self.cfg.params.clone(), ctx.num_nodes());
         self.comm_busy = vec![0; ctx.num_nodes() as usize];
         self.poll_armed = LazyVec::new(ctx.num_pes() as usize, [Time::MAX; 3]);
+        self.cqs = LazyVec::new(ctx.num_pes() as usize, None);
+        self.pools = LazySlab::new(ctx.num_pes() as usize);
         self.gni = Some(gni);
     }
 
@@ -1285,15 +1297,13 @@ impl MachineLayer for UgniLayer {
         self.backlog.retain(|(src, _), _| src / cores != node);
         self.sends.retain(|_, p| p.src_pe / cores != node);
         self.recvs.retain(|_, r| r.dst_pe / cores != node);
-        let dead_puts: Vec<u64> = self
-            .persist_pending
-            .iter()
-            .filter(|(_, p)| p.src_pe / cores == node)
-            .map(|(xid, _)| *xid)
-            .collect();
-        for xid in dead_puts {
-            self.persist_pending.remove(&xid);
-            self.persist_data.remove(&xid);
-        }
+        let persist_data = &mut self.persist_data;
+        self.persist_pending.retain(|xid, p| {
+            let live = p.src_pe / cores != node;
+            if !live {
+                persist_data.remove(xid);
+            }
+            live
+        });
     }
 }

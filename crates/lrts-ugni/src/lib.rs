@@ -113,6 +113,32 @@ mod tests {
     }
 
     #[test]
+    fn two_pes_of_a_mebi_pe_layer_page_in_only_their_tables() {
+        // 1,048,576 PEs, 16 per node; PE 5 on node 0 and PE 1,000,003 on
+        // node 62,500 trade small messages and one rendezvous each way, so
+        // both touch their CQ, pool and poll state.
+        let (a, b) = (5, 1_000_003);
+        let mut c = cluster_with(UgniConfig::optimized(), 1 << 20, 16);
+        let h = c.register_handler(move |ctx, env| {
+            if env.payload.len() < 1024 && ctx.pe() == b {
+                ctx.send(a, env.handler, Bytes::from(vec![1u8; 65536]));
+            }
+        });
+        let kick = c.register_handler(move |ctx, _| {
+            ctx.send(b, h, Bytes::from_static(b"ping"));
+            ctx.send(b, h, Bytes::from(vec![2u8; 65536]));
+        });
+        c.inject(0, a, kick, Bytes::new());
+        c.run();
+        let layer: &mut UgniLayer = c.layer_mut();
+        assert_eq!(layer.stats.small_msgs, 1);
+        assert_eq!(layer.stats.rendezvous_msgs, 2);
+        // One page per PE in each of the three tables (CQs, pools, poll
+        // state) out of 3 * 16,384.
+        assert_eq!(layer.per_pe_pages(), 6);
+    }
+
+    #[test]
     fn payload_integrity_across_rendezvous() {
         let mut c = cluster_with(UgniConfig::optimized(), 2, 1);
         let pattern: Vec<u8> = (0..100_000u32).map(|i| (i * 31 % 251) as u8).collect();

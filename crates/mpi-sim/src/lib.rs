@@ -26,8 +26,8 @@
 
 use bytes::Bytes;
 use gemini_net::{Addr, FaultKind, GeminiParams, NodeId, RdmaOp, RegCache};
-use sim_core::Time;
-use std::collections::{HashMap, VecDeque};
+use sim_core::{DetHashMap, Time};
+use std::collections::VecDeque;
 use ugni::{CqEvent, CqHandle, EpHandle, Gni, GniError, PostDescriptor, SmsgSendOk};
 
 // With the `verify` feature every uGNI call goes through the CheckedGni
@@ -181,7 +181,7 @@ pub struct MpiSim {
     gni: LGni,
     cores_per_node: u32,
     cqs: Vec<CqHandle>,
-    eps: HashMap<(Rank, Rank), EpHandle>,
+    eps: DetHashMap<(Rank, Rank), EpHandle>,
     /// uDREG per rank.
     udreg: Vec<RegCache>,
     /// Matched-order delivery queue per rank, with the time each entry
@@ -191,7 +191,7 @@ pub struct MpiSim {
     eager_addr: Vec<Addr>,
     eager_handle: Vec<gemini_net::MemHandle>,
     /// In-flight eager-PUT payloads keyed by xid.
-    put_data: HashMap<u64, (Rank, Tag, Bytes)>,
+    put_data: DetHashMap<u64, (Rank, Tag, Bytes)>,
     next_xid: u64,
     pub stats: MpiStats,
 }
@@ -223,8 +223,8 @@ impl MpiSim {
                 .map(|_| RegCache::new(cfg.udreg_capacity, cfg.udreg_lookup))
                 .collect(),
             unexpected: (0..ranks).map(|_| VecDeque::new()).collect(),
-            eps: HashMap::new(),
-            put_data: HashMap::new(),
+            eps: DetHashMap::default(),
+            put_data: DetHashMap::default(),
             next_xid: 0,
             stats: MpiStats::default(),
             cfg,
@@ -369,7 +369,7 @@ impl MpiSim {
             wakes: Vec::new(),
         };
         let bytes = data.len() as u64;
-        let p = self.cfg.params.clone();
+        let p = &self.cfg.params;
 
         // Intra-node path.
         if self.node_of(src) == self.node_of(dst) && src != dst {
@@ -475,7 +475,7 @@ impl MpiSim {
             let cache = &mut self.udreg[src as usize];
             let table = self.gni.fabric_mut().reg_table(src_node);
             let before = cache.hits;
-            let r = cache.acquire(&p, table, buf, bytes);
+            let r = cache.acquire(p, table, buf, bytes);
             if cache.hits > before {
                 self.stats.udreg_hits += 1;
             } else {
@@ -594,7 +594,7 @@ impl MpiSim {
     ) -> Option<RecvOutcome> {
         let idx = self.match_unexpected(now, rank, src, tag)?;
         let (_, u) = self.unexpected[rank as usize].remove(idx).unwrap();
-        let p = self.cfg.params.clone();
+        let p = &self.cfg.params;
         // Matching re-scans the unexpected list up to the hit.
         let base = now + self.cfg.call_overhead + (idx as Time + 1) * self.cfg.match_scan_per_entry;
         match u {
@@ -623,7 +623,7 @@ impl MpiSim {
                     let cache = &mut self.udreg[rank as usize];
                     let table = self.gni.fabric_mut().reg_table(node);
                     let before = cache.hits;
-                    let r = cache.acquire(&p, table, recv_buf, bytes);
+                    let r = cache.acquire(p, table, recv_buf, bytes);
                     if cache.hits > before {
                         self.stats.udreg_hits += 1;
                     } else {

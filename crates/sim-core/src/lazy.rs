@@ -126,16 +126,17 @@ pub const SLAB_PAGE_LEN: usize = 64;
 /// A fixed-length slab of `Default` values, allocated in pages on first
 /// mutable touch. Shared reads of untouched slots see a pristine fallback
 /// instance — valid because `T::default()` carries no per-slot identity.
-pub struct LazySlab<T: Default> {
+/// `PAGE` is the entries-per-page grain, as for [`LazyVec`].
+pub struct LazySlab<T: Default, const PAGE: usize = SLAB_PAGE_LEN> {
     pages: Vec<Option<Box<[T]>>>,
     len: usize,
     fallback: T,
 }
 
-impl<T: Default> LazySlab<T> {
+impl<T: Default, const PAGE: usize> LazySlab<T, PAGE> {
     pub fn new(len: usize) -> Self {
         let mut pages = Vec::new();
-        pages.resize_with(len.div_ceil(SLAB_PAGE_LEN), || None);
+        pages.resize_with(len.div_ceil(PAGE), || None);
         LazySlab {
             pages,
             len,
@@ -154,7 +155,7 @@ impl<T: Default> LazySlab<T> {
 
     fn fresh_page() -> Box<[T]> {
         let mut v = Vec::new();
-        v.resize_with(SLAB_PAGE_LEN, T::default);
+        v.resize_with(PAGE, T::default);
         v.into_boxed_slice()
     }
 
@@ -170,8 +171,8 @@ impl<T: Default> LazySlab<T> {
     #[inline]
     pub fn get_ref(&self, i: usize) -> &T {
         debug_assert!(i < self.len);
-        match &self.pages[i / SLAB_PAGE_LEN] {
-            Some(p) => &p[i % SLAB_PAGE_LEN],
+        match &self.pages[i / PAGE] {
+            Some(p) => &p[i % PAGE],
             None => &self.fallback,
         }
     }
@@ -180,14 +181,14 @@ impl<T: Default> LazySlab<T> {
     #[inline]
     pub fn get_mut(&mut self, i: usize) -> &mut T {
         debug_assert!(i < self.len);
-        let page = i / SLAB_PAGE_LEN;
+        let page = i / PAGE;
         if self.pages[page].is_none() {
             self.pages[page] = Some(Self::fresh_page());
         }
         // panic-ok: page materialized just above
         let p = self.pages[page].as_mut().unwrap();
-        // panic-ok: i % SLAB_PAGE_LEN is within the fixed page length
-        p.get_mut(i % SLAB_PAGE_LEN).unwrap()
+        // panic-ok: i % PAGE is within the fixed page length
+        p.get_mut(i % PAGE).unwrap()
     }
 
     pub fn materialized_pages(&self) -> usize {
@@ -195,7 +196,7 @@ impl<T: Default> LazySlab<T> {
     }
 }
 
-impl<T: Default> std::fmt::Debug for LazySlab<T> {
+impl<T: Default, const PAGE: usize> std::fmt::Debug for LazySlab<T, PAGE> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LazySlab")
             .field("len", &self.len)

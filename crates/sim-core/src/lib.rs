@@ -5,8 +5,9 @@
 //! nanoseconds ([`Time`]), a stable-ordered event queue ([`EventQueue`], a
 //! monotone radix heap whose pops are amortised O(1) and whose memory
 //! follows the pending set), a deterministic RNG ([`rng`]) so every
-//! experiment is reproducible, and the statistics helpers ([`stats`]) the
-//! benchmark harness uses to report the paper's tables and figures.
+//! experiment is reproducible, an unseeded word hasher for the machine
+//! layers' keyed tables ([`hash`]), and the statistics helpers ([`stats`])
+//! the benchmark harness uses to report the paper's tables and figures.
 //!
 //! Everything here is single-threaded: the runtime driver built on this
 //! kernel has one sequential event loop (DESIGN.md §10), and host
@@ -25,12 +26,14 @@
 //! assert_eq!((t, ev), (1_000, "sooner"));
 //! ```
 
+pub mod hash;
 pub mod lazy;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
+pub use hash::{DetHashMap, DetHashSet};
 pub use lazy::{LazySlab, LazyVec};
 pub use queue::EventQueue;
 pub use rng::DetRng;

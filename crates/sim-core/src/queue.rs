@@ -11,8 +11,10 @@
 //! entry only ever moves to lower buckets, so a pop costs amortised O(1)
 //! moves instead of a `log n` sift through the whole pending set. Pushes
 //! below the last pop stay legal and exact (see [`EventQueue::push`]).
-//! One type serves the cluster's queue and every per-PE uGNI mailbox, MSGQ
-//! and CQ queue.
+//! It is the cluster's one event queue. The per-PE uGNI mailboxes, MSGQs
+//! and CQs hold a few nearly in-order entries each and use a time-ordered
+//! ring private to the `ugni` crate instead: a radix heap per mailbox
+//! would keep a bucket allocation for every bucket it ever used.
 
 use crate::time::Time;
 use std::collections::VecDeque;

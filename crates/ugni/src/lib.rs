@@ -16,13 +16,19 @@
 //!   ([`Gni::mem_write`]); a GET returns the remote content, a PUT deposits
 //!   its payload into remote memory. This models RDMA data movement without
 //!   a real address space.
+//!
+//! The NIC-side queues — each PE's SMSG mailbox, each node's MSGQ and each
+//! CQ — are short time-ordered rings bounded by their credit windows and
+//! outstanding posts, so a small message costs the same host work and
+//! memory at 240 PEs as at 24,576.
 
+mod ring;
 pub mod types;
 
 use bytes::Bytes;
 use gemini_net::{Addr, Fabric, FaultKind, GeminiParams, Mechanism, MemHandle, NodeId, RdmaOp};
-use sim_core::{EventQueue, Time};
-use std::collections::HashMap;
+use ring::TimeRing;
+use sim_core::{DetHashMap, Time};
 
 pub use types::*;
 
@@ -38,7 +44,7 @@ struct Endpoint {
 
 #[derive(Default)]
 struct Cq {
-    events: EventQueue<CqEvent>,
+    events: TimeRing<CqEvent>,
     /// Overrun error state (`GNI_CQ_OVERRUN`): set when an event arrives
     /// past the configured depth, cleared only by [`Gni::cq_resync`].
     overrun: bool,
@@ -54,13 +60,13 @@ pub struct Gni {
     eps: Vec<Endpoint>,
     /// Per-(node, instance) inbound SMSG mailboxes (time-ordered).
     #[allow(clippy::type_complexity)]
-    rx: HashMap<(NodeId, u32), EventQueue<(u8, u32, Bytes)>>,
+    rx: DetHashMap<(NodeId, u32), TimeRing<(u8, u32, Bytes)>>,
     /// Per-node shared MSGQ queues: (tag, from_inst, dst_inst, data).
-    msgq_rx: HashMap<NodeId, EventQueue<(u8, u32, u32, Bytes)>>,
+    msgq_rx: DetHashMap<NodeId, TimeRing<(u8, u32, u32, Bytes)>>,
     /// Content of simulated buffers, keyed by address (blocks carved from
     /// one registered slab have distinct addresses), for RDMA data
     /// movement.
-    contents: HashMap<(NodeId, Addr), Bytes>,
+    contents: DetHashMap<(NodeId, Addr), Bytes>,
     /// Per-node bump allocator for simulated addresses.
     next_addr: Vec<u64>,
     /// One-shot latch for `FaultPlan::force_cq_overrun_at`.
@@ -83,9 +89,9 @@ impl Gni {
             fabric,
             cqs: Vec::new(),
             eps: Vec::new(),
-            rx: HashMap::new(),
-            msgq_rx: HashMap::new(),
-            contents: HashMap::new(),
+            rx: DetHashMap::default(),
+            msgq_rx: DetHashMap::default(),
+            contents: DetHashMap::default(),
             next_addr: (0..n).map(|i| (i as u64 + 1) << 44).collect(),
             forced_overrun_done: false,
             cq_overruns: 0,
@@ -177,17 +183,14 @@ impl Gni {
         if self.fabric.reg_fault_roll() {
             return Err(GniError::ResourceError);
         }
-        let p = self.fabric.params.clone();
-        Ok(self.fabric.reg_table(node).register(&p, addr, bytes))
+        Ok(self.fabric.mem_register(node, addr, bytes))
     }
 
     /// `GNI_MemDeregister`: returns the CPU cost. Deregistering an unknown
     /// or already-released handle is reported, not fatal.
     pub fn mem_deregister(&mut self, node: NodeId, h: MemHandle) -> GniResult<Time> {
-        let p = self.fabric.params.clone();
         self.fabric
-            .reg_table(node)
-            .deregister(&p, h)
+            .mem_deregister(node, h)
             .map_err(|_| GniError::InvalidHandle)
     }
 

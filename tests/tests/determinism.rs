@@ -83,7 +83,7 @@ impl Model {
 /// this file. A deterministic trace shaped like real simulator traffic:
 /// bursts of same-time events (scheduler cascades), short hops (protocol
 /// charges), long timer jumps (retry horizons) and absolute-time
-/// stragglers below the clock (late CQ and mailbox inserts).
+/// stragglers below the clock (pushes below the last pop).
 #[test]
 fn event_queue_matches_reference_model_on_simulator_shaped_trace() {
     let mut model = Model::default();

@@ -24,7 +24,10 @@
 //!   nondeterministically ordered event loop breaks the bit-for-bit
 //!   replay guarantee every figure rests on, and a hash-ordered lint
 //!   report breaks CI artifact diffing. Use `BTreeMap` or a
-//!   `Vec`-indexed table when order can leak into behavior.
+//!   `Vec`-indexed table when order can leak into behavior. The
+//!   `sim_core::hash` aliases (`DetHashMap`, `DetHashSet`) are covered
+//!   too: unseeded, but still hash-ordered. A chain that rustfmt splits
+//!   (`self` / `.name` / `.iter()`) is caught on its `.iter()` line.
 //!   Escape: `// hash-ok: <why>`.
 //! * **unwrap-in-recovery** — no `.unwrap()` / `.expect(` inside
 //!   fault-recovery functions (name has a `_`-segment equal to `retry`,
@@ -466,6 +469,17 @@ const ITER_METHODS: &[&str] = &[
     ".into_values()",
 ];
 
+/// Does `line` continue a method chain that rustfmt split after
+/// hash-bound `name` (`prev` ends in `.name`, `line` starts `.iter()`)?
+fn iterates_split(prev: &str, line: &str, name: &str) -> bool {
+    let Some(head) = prev.trim_end().strip_suffix(name) else {
+        return false;
+    };
+    let boundary = head.chars().next_back().is_none_or(|c| !is_ident_char(c));
+    let tail = line.trim_start();
+    boundary && ITER_METHODS.iter().any(|m| tail.starts_with(m))
+}
+
 /// Does `line` iterate over hash-bound `name`?
 fn iterates(line: &str, name: &str) -> bool {
     // `name.iter()` and friends, with an identifier boundary before.
@@ -656,8 +670,9 @@ pub fn lint_source(crate_dir: &str, file: &str, src: &str) -> Vec<Finding> {
             if in_ranges(&tests, idx) || escaped(&raw_lines, idx, HASH_OK_MARKER) {
                 continue;
             }
+            let prev = idx.checked_sub(1).map_or("", |p| lines[p]);
             for name in &names {
-                if iterates(line, name) {
+                if iterates(line, name) || iterates_split(prev, line, name) {
                     out.push(Finding::new(
                         "hashmap-iter",
                         file,

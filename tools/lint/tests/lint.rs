@@ -29,6 +29,30 @@ fn hashmap_iteration_fixture_fires() {
 }
 
 #[test]
+fn hashmap_iteration_split_across_lines_fires() {
+    let src = fixture("hashmap_iter.rs");
+    let f = lint_source("sim-core", "fixtures/hashmap_iter.rs", &src);
+    let line_after = |field: &str| {
+        let lines: Vec<&str> = src.lines().collect();
+        let at = lines
+            .iter()
+            .position(|l| l.trim() == field)
+            .unwrap_or_else(|| panic!("fixture has no `{field}` line"));
+        at + 2 // 1-based number of the `.keys()`/`.iter()` line after it
+    };
+    // `self` / `.live` / `.keys()` on a `DetHashMap` field is caught on
+    // the `.keys()` line ...
+    let live = line_after(".live");
+    assert!(
+        f.iter().any(|x| x.line == live && x.msg.contains("`live`")),
+        "split chain at line {live} missed: {f:?}"
+    );
+    // ... and a `Vec` field whose name merely ends the same way is not.
+    let alive = line_after(".alive");
+    assert!(!f.iter().any(|x| x.line == alive), "findings: {f:?}");
+}
+
+#[test]
 fn hashmap_rule_only_applies_to_sim_crates() {
     let src = fixture("hashmap_iter.rs");
     // `apps` is not a simulation crate: figure drivers may use hash
